@@ -48,9 +48,10 @@
 // thread that drives the real benchmark.
 //
 // Warm-up and phase-1 kernels stream their iteration timings into
-// reusable Welford accumulators (see gpu.StreamStats) rather than
-// materialising per-iteration traces; only the phase-3 benchmark kernel
-// keeps its full trace for evaluation.
+// reusable Welford accumulators (see gpu.TailStats and gpu.StreamStats)
+// rather than materialising per-iteration traces; warm-up kernels are
+// timestamped only over each block's tail window. Only the phase-3
+// benchmark kernel keeps its full trace for evaluation.
 package golatest
 
 import (

@@ -27,11 +27,14 @@ type Runner struct {
 	cfg Config
 	rng *clock.Rand
 
-	// sink is the reusable streaming-statistics sink for the warm-up and
-	// phase-1 kernels, which only need summary statistics and therefore
-	// skip trace materialisation. One per runner: the single host thread
-	// that advances virtual time is also the only sink writer.
+	// sink and tail are the reusable streaming sinks of the phase-1 and
+	// warm-up kernels, which only need summary statistics and therefore
+	// skip trace materialisation; tail keeps just each block's trailing
+	// window, so the device does not timestamp the iterations before it.
+	// One of each per runner: the single host thread that advances
+	// virtual time is also the only sink writer.
 	sink *gpu.StreamStats
+	tail *gpu.TailStats
 
 	// captureHintNs is the effective capture bound (config hint or probe
 	// result), mutable because adaptive retry may grow it.
@@ -55,6 +58,7 @@ func NewRunner(dev *nvml.Device, cfg Config) (*Runner, error) {
 		cfg:           cfg,
 		rng:           clock.NewRand(cfg.Seed, 0x72756e6e6572), // "runner"
 		sink:          gpu.NewStreamStats(warmTailWindow),
+		tail:          gpu.NewTailStats(warmTailWindow),
 		captureHintNs: cfg.MaxLatencyHintNs,
 	}, nil
 }
@@ -98,6 +102,7 @@ func (r *Runner) replicaRunner(pair Pair) (*Runner, error) {
 		cfg:           r.cfg,
 		rng:           clock.NewRand(r.cfg.Seed, pairTag(0x72756e6e6572, pair)),
 		sink:          gpu.NewStreamStats(warmTailWindow),
+		tail:          gpu.NewTailStats(warmTailWindow),
 		captureHintNs: r.captureHintNs,
 	}, nil
 }
@@ -320,21 +325,22 @@ func (r *Runner) ensureInitialClock(initStat stats.MeanStd, cycles, iterInitNs f
 	warmIters := int(warmNs/iterInitNs) + 1
 	const rounds = 5
 	for attempt := 0; attempt < rounds; attempt++ {
-		// Warm kernels stream into the reusable sink: the check below only
-		// needs each block's tail-window statistics, so the full trace
-		// (warmIters × blocks IterSamples per round) is never allocated.
-		r.sink.Reset()
+		// Warm kernels stream into the tail-only sink: the check below only
+		// needs each block's tail-window statistics, so neither the full
+		// trace (warmIters × blocks IterSamples per round) nor the
+		// timestamps before the tail are ever computed.
+		r.tail.Reset()
 		if _, err := r.ctx.LaunchKernelWithSink(gpu.KernelSpec{
 			Iters: warmIters, CyclesPerIter: cycles, Blocks: r.cfg.Blocks,
-		}, r.sink); err != nil {
+		}, r.tail); err != nil {
 			return err
 		}
 		r.ctx.DeviceSynchronize()
 
 		// Compare the tail of each block against the init population.
 		stable := true
-		for b := 0; b < r.sink.NumBlocks(); b++ {
-			tail := r.sink.BlockTail(b)
+		for b := 0; b < r.tail.NumBlocks(); b++ {
+			tail := r.tail.BlockTail(b)
 			if math.Abs(tail.Mean-initStat.Mean) >= r.cfg.RelTolerance*initStat.Mean {
 				stable = false
 				break

@@ -9,6 +9,20 @@ import (
 // BenchmarkKernelMaterialization measures the simulator's hot path: the
 // per-iteration timeline integration across a mid-kernel clock change.
 func BenchmarkKernelMaterialization(b *testing.B) {
+	benchKernel(b, nil)
+}
+
+// BenchmarkKernelMaterializationTailSink runs the same kernel into the
+// warm-up check's tail-only sink, which skips timestamping every
+// iteration before each block's last 100.
+func BenchmarkKernelMaterializationTailSink(b *testing.B) {
+	benchKernel(b, NewTailStats(100))
+}
+
+// benchKernel launches a 2000-iteration, 4-block kernel with a clock
+// change 5 ms in, materialised when tail is nil and streamed into tail
+// otherwise.
+func benchKernel(b *testing.B, tail *TailStats) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		clk := clock.New()
@@ -22,7 +36,14 @@ func BenchmarkKernelMaterialization(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		k, err := d.Launch(KernelSpec{Iters: 2000, CyclesPerIter: 150_000})
+		spec := KernelSpec{Iters: 2000, CyclesPerIter: 150_000}
+		var k *Kernel
+		if tail == nil {
+			k, err = d.Launch(spec)
+		} else {
+			tail.Reset()
+			k, err = d.LaunchWithSink(spec, tail)
+		}
 		if err != nil {
 			b.Fatal(err)
 		}

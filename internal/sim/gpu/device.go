@@ -338,38 +338,39 @@ func (d *Device) materialize(k *Kernel) {
 	d.everBusy = true
 }
 
-// runSM executes the iteration loop of one SM-resident block, recording
-// quantised device timestamps for every iteration, and returns the host
-// time at which the block finished. Timings either accumulate into the
-// kernel's sample matrix or stream into its sink.
+// runSM executes the iteration loop of one SM-resident block and returns
+// the host time at which the block finished. Timings either accumulate
+// into the kernel's sample matrix or stream into its sink. Iterations
+// before the sink's first wanted one still draw their jitter and advance
+// time, so the random stream and the block's end time never depend on
+// the sink; they are just not timestamped. Iteration i's quantised end is
+// iteration i+1's start, so each boundary is converted once.
 func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) int64 {
 	iters := k.spec.Iters
 	var samples []IterSample
+	from := 0
 	if k.sink == nil {
 		samples = make([]IterSample, iters)
 	} else {
-		k.sink.BlockStart(sm, iters)
+		from = k.sink.BlockStart(sm, iters)
 	}
 	cur := d.tl.cursor()
 	speed := d.smSpeed[sm]
 	t := start
-	for i := 0; i < iters; i++ {
-		jitter := r.Normal(1, d.cfg.IterJitterSigma)
-		if jitter < 0.5 {
-			jitter = 0.5 // guard the pathological tail; keeps time positive
-		}
-		cycles := k.spec.CyclesPerIter * jitter
-		dur := d.integrate(t, cycles, speed, wakeEnd, &cur)
-		s := IterSample{
-			StartNs: d.DeviceTimeAt(t),
-			EndNs:   d.DeviceTimeAt(t + dur),
-		}
+	i := 0
+	for ; i < from && i < iters; i++ {
+		t += d.iterNs(k, t, speed, wakeEnd, &cur, r)
+	}
+	startDev := d.DeviceTimeAt(t)
+	for ; i < iters; i++ {
+		t += d.iterNs(k, t, speed, wakeEnd, &cur, r)
+		s := IterSample{StartNs: startDev, EndNs: d.DeviceTimeAt(t)}
 		if k.sink == nil {
 			samples[i] = s
 		} else {
 			k.sink.Sample(sm, i, s)
 		}
-		t += dur
+		startDev = s.EndNs
 	}
 	if k.sink == nil {
 		k.samples[sm] = samples
@@ -377,6 +378,16 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) i
 		k.sink.BlockEnd(sm)
 	}
 	return t
+}
+
+// iterNs draws one iteration's execution jitter and returns its host-time
+// duration when it starts at host time t.
+func (d *Device) iterNs(k *Kernel, t int64, speed float64, wakeEnd int64, cur *cursor, r *clock.Rand) int64 {
+	jitter := r.Normal(1, d.cfg.IterJitterSigma)
+	if jitter < 0.5 {
+		jitter = 0.5 // guard the pathological tail; keeps time positive
+	}
+	return d.integrate(t, k.spec.CyclesPerIter*jitter, speed, wakeEnd, cur)
 }
 
 // integrate returns the host-time nanoseconds needed to execute the given

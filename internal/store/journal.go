@@ -202,7 +202,15 @@ func (s *Store) compactLocked() error {
 	err = os.Rename(filepath.Join(s.dir, journalName), filepath.Join(s.dir, journalOldName))
 	if err != nil {
 		if os.IsNotExist(err) {
-			// No live log: persist in-memory state (e.g. after a rebuild).
+			// No live log: every journaled record already sits in the
+			// snapshot, including peers' records this handle never saw,
+			// so adopt it rather than writing the in-memory index over
+			// it. Only without a readable snapshot (e.g. after a rebuild)
+			// does the in-memory index become the snapshot.
+			if m, ok := s.readSnapshotMap(); ok {
+				s.manifest = m
+				return nil
+			}
 			return s.writeSnapshotLocked()
 		}
 		return fmt.Errorf("store: compact: %w", err)
@@ -219,7 +227,7 @@ func (s *Store) foldLocked() error {
 	if _, err := os.Stat(oldPath); os.IsNotExist(err) {
 		return nil
 	}
-	merged := s.readSnapshotMap()
+	merged, _ := s.readSnapshotMap()
 	replayJournal(oldPath, merged)
 	// Nothing of this handle's is lost by adopting the merged view:
 	// every local mutation was journaled before it reached the map, so
@@ -234,23 +242,24 @@ func (s *Store) foldLocked() error {
 	return nil
 }
 
-// readSnapshotMap loads manifest.json into a fresh map; any failure —
-// missing, unparseable, wrong schema — yields an empty map (the journal
-// and, ultimately, rebuildManifest carry the truth).
-func (s *Store) readSnapshotMap() map[string]ManifestEntry {
+// readSnapshotMap loads manifest.json into a fresh map and reports
+// whether it was readable; any failure — missing, unparseable, wrong
+// schema — yields an empty map (the journal and, ultimately,
+// rebuildManifest carry the truth).
+func (s *Store) readSnapshotMap() (map[string]ManifestEntry, bool) {
 	m := make(map[string]ManifestEntry)
 	data, err := os.ReadFile(filepath.Join(s.dir, manifestName))
 	if err != nil {
-		return m
+		return m, false
 	}
 	var mf manifestFile
 	if json.Unmarshal(data, &mf) != nil || mf.Schema != SchemaVersion {
-		return m
+		return m, false
 	}
 	for _, e := range mf.Entries {
 		m[e.Digest] = e
 	}
-	return m
+	return m, true
 }
 
 // writeSnapshotLocked writes the in-memory index as manifest.json, via

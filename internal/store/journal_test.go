@@ -260,6 +260,47 @@ func TestConcurrentStoreOps(t *testing.T) {
 	}
 }
 
+// TestCompactWithoutLiveLogKeepsPeerRecords: once a peer has folded the
+// live log into the snapshot, a compaction that finds no live log must
+// adopt that snapshot, not write its own (older) in-memory index over
+// it. Writing it over dropped the peer's records — the rare loss behind
+// TestTwoHandlesConcurrentPuts.
+func TestCompactWithoutLiveLogKeepsPeerRecords(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testResult()
+	if err := a.Put(mustKey(t, 0, 3001), res); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(mustKey(t, 1, 3002), res); err != nil {
+		t.Fatal(err)
+	}
+	// a folds both records and leaves no live log behind.
+	if err := a.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 2 {
+		t.Fatalf("b's index after compaction = %d entries, want 2 (peer's record adopted)", b.Len())
+	}
+	reopened, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.Len() != 2 {
+		t.Fatalf("reopened Len = %d, want 2 (a record was lost)", reopened.Len())
+	}
+}
+
 // TestTwoHandlesConcurrentPuts: disjoint key sets written through two
 // handles racing on one directory must union cleanly — the append-only
 // journal has no lost-update window.

@@ -10,12 +10,16 @@ import (
 	"time"
 )
 
-// Advisory shard leases. A lease is a `<digest>.lease` file created with
-// O_CREATE|O_EXCL — the filesystem arbitrates exactly one winner per
-// digest, across goroutines and across processes — holding the owner's
-// id and an expiry. A holder renews while it works; anyone finding an
-// expired (or unparseable) lease may steal it, so a crashed holder
-// blocks a shard for at most one TTL.
+// Advisory shard leases. A lease is a `<digest>.lease` file holding the
+// owner's id and an expiry. Its content is written to a staging file
+// first and published with a hard link, which fails atomically when the
+// lease exists — the filesystem arbitrates exactly one winner per
+// digest, across goroutines and across processes, and no reader ever
+// sees a half-written lease. A holder renews while it works; anyone
+// finding an expired lease may steal it, so a crashed holder blocks a
+// shard for at most one TTL. A lease file that does not parse (debris,
+// or a writer that still creates the file before filling it) counts as
+// held until its mtime plus unreadableLeaseGrace.
 //
 // Leases are coordination, not correctness: campaigns are deterministic,
 // so the worst a lease race can cause is duplicated work writing
@@ -33,6 +37,11 @@ const leaseSuffix = ".lease"
 // compaction; folding a log takes milliseconds, so stealing after 30 s
 // is conservative.
 const compactLockTTL = 30 * time.Second
+
+// unreadableLeaseGrace is how long after its last modification an
+// unparseable lease file still counts as held. Published leases are
+// never partial, so only debris outlives it.
+const unreadableLeaseGrace = 10 * time.Second
 
 // leaseFile is the on-disk lease content. Token, minted fresh per
 // acquisition, is what Renew and Release verify against: Owner is a
@@ -114,49 +123,81 @@ func (s *Store) AttachLease(digest, owner, token string) LeaseHandle {
 }
 
 func tryAcquirePath(path, owner string, ttl time.Duration) (*Lease, bool, error) {
-	stolen := false
 	token := newHandleID()
+	data, err := json.Marshal(leaseFile{
+		Owner: owner, Token: token, ExpiresUnixNs: time.Now().Add(ttl).UnixNano(),
+	})
+	if err != nil {
+		return nil, false, fmt.Errorf("store: lease %s: %w", path, err)
+	}
+	dir, base := filepath.Split(path)
+	tmp, err := os.CreateTemp(dir, tmpPrefix+base+"-*")
+	if err != nil {
+		return nil, false, fmt.Errorf("store: lease %s: %w", path, err)
+	}
+	defer os.Remove(tmp.Name())
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("store: lease %s: %w", path, err)
+	}
+	leasePublishPause()
+
+	stolen := false
 	for attempt := 0; attempt < 8; attempt++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		err := os.Link(tmp.Name(), path)
 		if err == nil {
-			data, merr := json.Marshal(leaseFile{
-				Owner: owner, Token: token, ExpiresUnixNs: time.Now().Add(ttl).UnixNano(),
-			})
-			if merr == nil {
-				_, merr = f.Write(data)
-			}
-			f.Close()
-			if merr != nil {
-				os.Remove(path)
-				return nil, false, fmt.Errorf("store: lease %s: %w", path, merr)
-			}
 			return &Lease{path: path, owner: owner, token: token, stolen: stolen}, true, nil
 		}
 		if !os.IsExist(err) {
 			return nil, false, fmt.Errorf("store: lease %s: %w", path, err)
 		}
-		data, err := os.ReadFile(path)
+		_, live, err := readLease(path)
 		if err != nil {
 			if os.IsNotExist(err) {
-				continue // released between the create attempt and the read
+				continue // released between the link attempt and the read
 			}
 			return nil, false, fmt.Errorf("store: lease %s: %w", path, err)
 		}
-		var lf leaseFile
-		if json.Unmarshal(data, &lf) != nil || time.Now().UnixNano() >= lf.ExpiresUnixNs {
-			// Expired or garbage: steal. The remove-then-recreate is the
-			// documented advisory window — a fresh claimant between our
-			// read and remove loses its lease and the shard computes
-			// twice, identically.
-			os.Remove(path)
-			stolen = true
-			continue
+		if live {
+			return nil, false, nil
 		}
-		return nil, false, nil
+		// Expired: steal. The remove-then-link is the documented
+		// advisory window — a fresh claimant between our read and
+		// remove loses its lease and the shard computes twice,
+		// identically.
+		os.Remove(path)
+		stolen = true
 	}
 	// Pathological churn (create/steal racing in a tight loop): report
 	// busy rather than spinning; the caller's claim loop retries.
 	return nil, false, nil
+}
+
+// leasePublishPause runs between staging a lease's content and
+// publishing it; tests widen that window to prove no claimant can
+// observe or steal a lease mid-write.
+var leasePublishPause = func() {}
+
+// readLease reads the lease file at path and reports whether it is live:
+// unexpired, or unparseable but modified less than unreadableLeaseGrace
+// ago.
+func readLease(path string) (leaseFile, bool, error) {
+	var lf leaseFile
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return lf, false, err
+	}
+	if json.Unmarshal(data, &lf) == nil {
+		return lf, time.Now().UnixNano() < lf.ExpiresUnixNs, nil
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return leaseFile{}, false, err
+	}
+	return leaseFile{}, time.Since(fi.ModTime()) < unreadableLeaseGrace, nil
 }
 
 // Renew extends the lease to now+ttl. The content is replaced via a
@@ -212,15 +253,12 @@ func (s *Store) LeaseHolder(digest string) (owner string, held bool) {
 	return leaseHolderAt(filepath.Join(s.dir, digest+leaseSuffix))
 }
 
-// leaseHolderAt reads a lease file directly; expired or unparseable
-// leases report unheld.
+// leaseHolderAt reads a lease file directly; expired leases, and
+// unparseable ones past their grace period, report unheld. A fresh
+// unparseable lease is held by an unknown owner ("").
 func leaseHolderAt(path string) (string, bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", false
-	}
-	var lf leaseFile
-	if json.Unmarshal(data, &lf) != nil || time.Now().UnixNano() >= lf.ExpiresUnixNs {
+	lf, live, err := readLease(path)
+	if err != nil || !live {
 		return "", false
 	}
 	return lf.Owner, true

@@ -3,6 +3,8 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -85,15 +87,93 @@ func TestLeaseStealExpired(t *testing.T) {
 	}
 }
 
+// TestLeaseStealGarbage: an unparseable lease file is held until its
+// mtime plus the grace period — it may be a writer caught mid-write —
+// and stealable after.
 func TestLeaseStealGarbage(t *testing.T) {
 	s := openStore(t)
 	path := filepath.Join(s.Dir(), "d1"+leaseSuffix)
 	if err := os.WriteFile(path, []byte("not a lease"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, ok, err := s.TryAcquire("d1", "alpha", time.Minute); err != nil || ok {
+		t.Fatalf("fresh garbage lease was claimable: ok=%v err=%v", ok, err)
+	}
+	if _, held := s.LeaseHolder("d1"); !held {
+		t.Fatal("fresh garbage lease reported unheld")
+	}
+	past := time.Now().Add(-2 * unreadableLeaseGrace)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
 	l, ok, err := s.TryAcquire("d1", "alpha", time.Minute)
 	if err != nil || !ok || !l.Stolen() {
-		t.Fatalf("garbage lease not stolen: ok=%v stolen=%v err=%v", ok, l != nil && l.Stolen(), err)
+		t.Fatalf("stale garbage lease not stolen: ok=%v stolen=%v err=%v", ok, l != nil && l.Stolen(), err)
+	}
+}
+
+// TestLeasePublishWindowIsExclusive pins the torn-read fix: while one
+// claimant is paused between writing its lease and publishing it, a
+// second claimant runs to completion. Exactly one of them may win, and
+// neither may count the other's lease as stolen. When a lease was
+// created empty and filled afterwards, the second claimant read the
+// empty file, stole it, and both won.
+func TestLeasePublishWindowIsExclusive(t *testing.T) {
+	s := openStore(t)
+	paused := make(chan struct{})
+	resume := make(chan struct{})
+	var calls atomic.Int32
+	leasePublishPause = func() {
+		if calls.Add(1) == 1 {
+			close(paused)
+			<-resume
+		}
+	}
+	defer func() { leasePublishPause = func() {} }()
+
+	type claim struct {
+		l   LeaseHandle
+		ok  bool
+		err error
+	}
+	slow := make(chan claim, 1)
+	go func() {
+		l, ok, err := s.TryAcquire("d1", "slow", time.Minute)
+		slow <- claim{l, ok, err}
+	}()
+	select {
+	case <-paused:
+	case sc := <-slow:
+		t.Fatalf("slow claim finished without reaching the publish window: %+v", sc)
+	}
+	fl, fok, ferr := s.TryAcquire("d1", "fast", time.Minute)
+	close(resume)
+	sc := <-slow
+
+	if ferr != nil || sc.err != nil {
+		t.Fatalf("claim errors: fast=%v slow=%v", ferr, sc.err)
+	}
+	if fok == sc.ok {
+		t.Fatalf("fast won=%v, slow won=%v: want exactly one winner", fok, sc.ok)
+	}
+	for _, l := range []LeaseHandle{fl, sc.l} {
+		if l != nil && l.Stolen() {
+			t.Fatal("a live lease was stolen")
+		}
+	}
+	owner, held := s.LeaseHolder("d1")
+	if want := map[bool]string{true: "fast", false: "slow"}[fok]; !held || owner != want {
+		t.Fatalf("holder = %q/%v, want %q", owner, held, want)
+	}
+	// No staging file outlives a claim.
+	entries, err := os.ReadDir(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range entries {
+		if strings.HasPrefix(de.Name(), tmpPrefix) {
+			t.Fatalf("staging file %s left behind", de.Name())
+		}
 	}
 }
 

@@ -3,8 +3,9 @@
 #
 #   ./scripts/ci.sh
 #
-# vet + build (including the stored daemon) + tests, a race-detector
-# pass over the concurrency-heavy coordination packages (the store's
+# vet + build (including the stored daemon) + tests, the nested perfbench
+# module (which `go test ./...` does not reach), a race-detector pass over
+# the concurrency-heavy coordination packages (the store's
 # journal/lease/GC machinery, the fleet's cross-process claim loop, and
 # the storenet daemon/client), and the benchmark smoke that records the
 # performance trajectory in BENCH_campaign.json.
@@ -24,6 +25,12 @@ go build -o /dev/null ./cmd/storedsup
 echo "== go test =="
 go test ./...
 
+echo "== perfbench module (vet + short tests) =="
+# perfbench is its own module, so the root's ./... skips it; vetting and
+# testing it here catches simulator or runner API changes that would
+# break the repository benchmark.
+(cd perfbench && go vet ./... && go test -short ./...)
+
 echo "== gofmt (internal/obs) =="
 # The tracing layer is the newest package; hold it to gofmt-clean so
 # drive-by edits to the hot span path can't land unformatted.
@@ -37,6 +44,11 @@ go vet ./internal/obs/...
 
 echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
+
+echo "== go test -race (cross-process sweep partition) =="
+# Exactly-once across processes rests on atomic lease publication; ten
+# repetitions under the race detector catch a reopened torn-read window.
+go test -race -count 10 -run 'TestCrossProcessSweepPartition$' ./cmd/experiments
 
 echo "== go test -race (trace propagation) =="
 # The tracer is lock-free by design (atomic ring cursor, pooled spans);
