@@ -3,437 +3,96 @@ package store
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"golatest/internal/cluster"
 	"golatest/internal/core"
 	"golatest/internal/stats"
 )
 
-// f64 is a float64 that survives JSON: encoding/json rejects NaN and the
-// infinities, but campaign results legitimately contain them (e.g. a
-// Measurement.InjectedMs is NaN when the simulator could not attribute
-// the injection, and an empty population summarises to NaN). Non-finite
-// values encode as the strings "NaN", "+Inf" and "-Inf"; finite values
-// encode as the shortest decimal that round-trips the exact bit pattern,
-// so a decoded blob reproduces every sample bit for bit.
-type f64 float64
-
-func (f f64) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	}
-	return strconv.AppendFloat(nil, v, 'g', -1, 64), nil
-}
-
-// UnmarshalJSON parses the element directly (strconv, literal
-// comparisons) rather than recursing into json.Unmarshal: a blob holds
-// thousands of f64 elements, and a nested Unmarshal per element — with
-// its own scanner state — used to dominate the warm-path alloc count.
-func (f *f64) UnmarshalJSON(data []byte) error {
-	if len(data) > 0 && data[0] == '"' {
-		switch string(data) {
-		case `"NaN"`:
-			*f = f64(math.NaN())
-		case `"+Inf"`:
-			*f = f64(math.Inf(1))
-		case `"-Inf"`:
-			*f = f64(math.Inf(-1))
-		default:
-			// Slow path for escaped spellings (e.g. "NaN") a
-			// foreign encoder might emit; the canonical encoder never
-			// does, so this allocates only on alien blobs.
-			var s string
-			if err := json.Unmarshal(data, &s); err != nil {
-				return err
-			}
-			switch s {
-			case "NaN":
-				*f = f64(math.NaN())
-			case "+Inf":
-				*f = f64(math.Inf(1))
-			case "-Inf":
-				*f = f64(math.Inf(-1))
-			default:
-				return fmt.Errorf("store: invalid float string %q", s)
-			}
-		}
-		return nil
-	}
-	if string(data) == "null" {
-		return nil // the json.Unmarshaler convention: null is a no-op
-	}
-	v, err := strconv.ParseFloat(string(data), 64)
-	if err != nil {
-		return fmt.Errorf("store: invalid float %s: %w", data, err)
-	}
-	*f = f64(v)
-	return nil
-}
-
-// toF64s and fromF64s reinterpret a slice between float64 and f64
-// without copying. f64 is a defined type whose underlying type is
-// float64, so the two element layouts are identical by the language
-// spec; only the method set (the JSON codec) differs. Copy-free
-// conversion is safe in both directions here: the encoder only reads
-// the aliased memory, and the decoder hands over slices that
-// encoding/json freshly allocated and nothing else references. The
-// nil/empty distinction is preserved explicitly because the canonical
-// encoding distinguishes null from [].
-func toF64s(xs []float64) []f64 {
-	if xs == nil {
-		return nil
-	}
-	if len(xs) == 0 {
-		return []f64{}
-	}
-	return unsafe.Slice((*f64)(unsafe.Pointer(&xs[0])), len(xs))
-}
-
-func fromF64s(xs []f64) []float64 {
-	if xs == nil {
-		return nil
-	}
-	if len(xs) == 0 {
-		return []float64{}
-	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&xs[0])), len(xs))
-}
-
-// The stored* types below are the on-disk schema, deliberately decoupled
-// from the in-memory types: in-memory layouts may change freely, but any
-// change that alters this schema (or the meaning of a stored field) MUST
-// bump SchemaVersion so stale blobs read as misses instead of decoding
-// into garbage. The only structural divergence from internal/core is
-// Phase1's Stats: JSON objects cannot key on float64, so the map is
-// flattened to a frequency-sorted slice (FreqStats carries its own
-// FreqMHz, making the flattening lossless).
-
-type storedBlob struct {
-	Schema   int          `json:"schema"`
-	Digest   string       `json:"digest"`
-	Profile  string       `json:"profile"`
-	Instance int          `json:"instance"`
-	Result   storedResult `json:"result"`
-}
-
-type storedResult struct {
-	DeviceName    string        `json:"device_name"`
-	Architecture  string        `json:"architecture"`
-	CaptureHintNs int64         `json:"capture_hint_ns"`
-	Phase1        *storedPhase1 `json:"phase1,omitempty"`
-	Pairs         []*storedPair `json:"pairs"`
-}
-
-type storedPhase1 struct {
-	Stats      []storedFreqStats `json:"stats"`
-	ValidPairs []core.Pair       `json:"valid_pairs"`
-	Excluded   []core.Pair       `json:"excluded"`
-	Unstable   []float64         `json:"unstable"`
-}
-
-type storedFreqStats struct {
-	FreqMHz   float64 `json:"freq_mhz"`
-	N         int     `json:"n"`
-	Mean      f64     `json:"mean"`
-	Std       f64     `json:"std"`
-	Normalish bool    `json:"normalish"`
-}
-
-type storedPair struct {
-	Pair                core.Pair           `json:"pair"`
-	Measurements        []storedMeasurement `json:"measurements"`
-	Samples             []f64               `json:"samples"`
-	Injected            []f64               `json:"injected"`
-	Attempts            int                 `json:"attempts"`
-	Failures            int                 `json:"failures"`
-	DiscardedByThrottle int                 `json:"discarded_by_throttle"`
-	ThrottleEvents      int                 `json:"throttle_events"`
-	Skipped             bool                `json:"skipped"`
-	SkipReason          string              `json:"skip_reason,omitempty"`
-	Kept                []f64               `json:"kept"`
-	Outliers            []f64               `json:"outliers"`
-	Clusters            *storedClusters     `json:"clusters,omitempty"`
-	Summary             storedSummary       `json:"summary"`
-	FinalRSE            f64                 `json:"final_rse"`
-}
-
-type storedMeasurement struct {
-	Pair            core.Pair `json:"pair"`
-	LatencyMs       f64       `json:"latency_ms"`
-	TsDevNs         int64     `json:"ts_dev_ns"`
-	TeDevNs         int64     `json:"te_dev_ns"`
-	SM              int       `json:"sm"`
-	TransitionIndex int       `json:"transition_index"`
-	InjectedMs      f64       `json:"injected_ms"`
-	SyncSpreadNs    int64     `json:"sync_spread_ns"`
-}
-
-type storedClusters struct {
-	Labels      []int `json:"labels"`
-	NumClusters int   `json:"num_clusters"`
-	Eps         f64   `json:"eps"`
-	MinPts      int   `json:"min_pts"`
-}
-
-type storedSummary struct {
-	N      int `json:"n"`
-	Mean   f64 `json:"mean"`
-	Std    f64 `json:"std"`
-	Min    f64 `json:"min"`
-	Q05    f64 `json:"q05"`
-	Q25    f64 `json:"q25"`
-	Median f64 `json:"median"`
-	Q75    f64 `json:"q75"`
-	Q95    f64 `json:"q95"`
-	Max    f64 `json:"max"`
-}
-
-func encodeResult(res *core.Result) storedResult {
-	sr := storedResult{
-		DeviceName:    res.DeviceName,
-		Architecture:  res.Architecture,
-		CaptureHintNs: res.CaptureHintNs,
-	}
-	if res.Phase1 != nil {
-		p1 := &storedPhase1{
-			ValidPairs: res.Phase1.ValidPairs,
-			Excluded:   res.Phase1.Excluded,
-			Unstable:   res.Phase1.Unstable,
-		}
-		for _, fs := range res.Phase1.Stats {
-			p1.Stats = append(p1.Stats, storedFreqStats{
-				FreqMHz:   fs.FreqMHz,
-				N:         fs.Iter.N,
-				Mean:      f64(fs.Iter.Mean),
-				Std:       f64(fs.Iter.Std),
-				Normalish: fs.Normalish,
-			})
-		}
-		sort.Slice(p1.Stats, func(i, j int) bool { return p1.Stats[i].FreqMHz < p1.Stats[j].FreqMHz })
-		sr.Phase1 = p1
-	}
-	for _, pr := range res.Pairs {
-		if pr == nil {
-			sr.Pairs = append(sr.Pairs, nil)
-			continue
-		}
-		sp := &storedPair{
-			Pair:                pr.Pair,
-			Samples:             toF64s(pr.Samples),
-			Injected:            toF64s(pr.Injected),
-			Attempts:            pr.Attempts,
-			Failures:            pr.Failures,
-			DiscardedByThrottle: pr.DiscardedByThrottle,
-			ThrottleEvents:      pr.ThrottleEvents,
-			Skipped:             pr.Skipped,
-			SkipReason:          pr.SkipReason,
-			Kept:                toF64s(pr.Kept),
-			Outliers:            toF64s(pr.Outliers),
-			Summary:             encodeSummary(pr.Summary),
-			FinalRSE:            f64(pr.FinalRSE),
-		}
-		for _, m := range pr.Measurements {
-			sp.Measurements = append(sp.Measurements, storedMeasurement{
-				Pair:            m.Pair,
-				LatencyMs:       f64(m.LatencyMs),
-				TsDevNs:         m.TsDevNs,
-				TeDevNs:         m.TeDevNs,
-				SM:              m.SM,
-				TransitionIndex: m.TransitionIndex,
-				InjectedMs:      f64(m.InjectedMs),
-				SyncSpreadNs:    m.SyncSpreadNs,
-			})
-		}
-		if pr.Clusters != nil {
-			sp.Clusters = &storedClusters{
-				Labels:      pr.Clusters.Labels,
-				NumClusters: pr.Clusters.NumClusters,
-				Eps:         f64(pr.Clusters.Eps),
-				MinPts:      pr.Clusters.MinPts,
-			}
-		}
-		sr.Pairs = append(sr.Pairs, sp)
-	}
-	return sr
-}
-
-func encodeSummary(s stats.Summary) storedSummary {
-	return storedSummary{
-		N: s.N, Mean: f64(s.Mean), Std: f64(s.Std), Min: f64(s.Min),
-		Q05: f64(s.Q05), Q25: f64(s.Q25), Median: f64(s.Median),
-		Q75: f64(s.Q75), Q95: f64(s.Q95), Max: f64(s.Max),
-	}
-}
-
-func decodeSummary(s storedSummary) stats.Summary {
-	return stats.Summary{
-		N: s.N, Mean: float64(s.Mean), Std: float64(s.Std), Min: float64(s.Min),
-		Q05: float64(s.Q05), Q25: float64(s.Q25), Median: float64(s.Median),
-		Q75: float64(s.Q75), Q95: float64(s.Q95), Max: float64(s.Max),
-	}
-}
-
-func decodeResult(sr storedResult) *core.Result {
-	res := &core.Result{
-		DeviceName:    sr.DeviceName,
-		Architecture:  sr.Architecture,
-		CaptureHintNs: sr.CaptureHintNs,
-	}
-	if sr.Phase1 != nil {
-		p1 := &core.Phase1Result{
-			Stats:      make(map[float64]core.FreqStats, len(sr.Phase1.Stats)),
-			ValidPairs: sr.Phase1.ValidPairs,
-			Excluded:   sr.Phase1.Excluded,
-			Unstable:   sr.Phase1.Unstable,
-		}
-		for _, fs := range sr.Phase1.Stats {
-			p1.Stats[fs.FreqMHz] = core.FreqStats{
-				FreqMHz: fs.FreqMHz,
-				Iter: stats.MeanStd{
-					N:    fs.N,
-					Mean: float64(fs.Mean),
-					Std:  float64(fs.Std),
-				},
-				Normalish: fs.Normalish,
-			}
-		}
-		res.Phase1 = p1
-	}
-	for _, sp := range sr.Pairs {
-		if sp == nil {
-			res.Pairs = append(res.Pairs, nil)
-			continue
-		}
-		pr := &core.PairResult{
-			Pair:                sp.Pair,
-			Samples:             fromF64s(sp.Samples),
-			Injected:            fromF64s(sp.Injected),
-			Attempts:            sp.Attempts,
-			Failures:            sp.Failures,
-			DiscardedByThrottle: sp.DiscardedByThrottle,
-			ThrottleEvents:      sp.ThrottleEvents,
-			Skipped:             sp.Skipped,
-			SkipReason:          sp.SkipReason,
-			Kept:                fromF64s(sp.Kept),
-			Outliers:            fromF64s(sp.Outliers),
-			Summary:             decodeSummary(sp.Summary),
-			FinalRSE:            float64(sp.FinalRSE),
-		}
-		for _, m := range sp.Measurements {
-			pr.Measurements = append(pr.Measurements, core.Measurement{
-				Pair:            m.Pair,
-				LatencyMs:       float64(m.LatencyMs),
-				TsDevNs:         m.TsDevNs,
-				TeDevNs:         m.TeDevNs,
-				SM:              m.SM,
-				TransitionIndex: m.TransitionIndex,
-				InjectedMs:      float64(m.InjectedMs),
-				SyncSpreadNs:    m.SyncSpreadNs,
-			})
-		}
-		if sp.Clusters != nil {
-			pr.Clusters = &cluster.Result{
-				Labels:      sp.Clusters.Labels,
-				NumClusters: sp.Clusters.NumClusters,
-				Eps:         float64(sp.Clusters.Eps),
-				MinPts:      sp.Clusters.MinPts,
-			}
-		}
-		res.Pairs = append(res.Pairs, pr)
-	}
-	return res
-}
+// The blob format. Every blob the store reads, writes and serves is the
+// v3 container — the only one; the name survives from the two JSON
+// generations it replaced, which now read as invalid blobs:
+//
+//	blob: magic(4) ‖ gzip(body)
+//	body: schema u32 ‖ reserved u64 ‖ digest ‖ profile ‖ instance ‖ result
+//
+// All integers are little-endian and fixed-width; floats are IEEE-754
+// bits. The reserved field once carried a size; it is written as zero
+// and never read, so blobs written before it was retired still decode.
+// The index's RawBytes is the body size, taken from the encoder's byte
+// count and from the length of the inflated body on a read.
+//
+// Fields that legitimately hold non-finite values (samples, summaries,
+// InjectedMs, RSEs, cluster eps, phase-1 moments) store NaN as the one
+// canonical quiet NaN, so results equal up to NaN payload encode to
+// equal bytes. The plain float fields — pair frequencies, phase-1 clock
+// frequencies and Unstable — must be finite: the encoder refuses a
+// result that puts NaN or ±Inf there.
+//
+// Slices encode as a u32 tag — v3NilSlice for a nil slice, the element
+// count otherwise — so nil and empty stay distinct. The append-built
+// slices (Pairs, Measurements, the phase-1 stats) write nil when empty
+// and decode empty as nil. Strings are a u32 length plus the bytes.
+// Every count is checked against the bytes actually remaining before
+// anything is allocated, so a tampered length is an invalid blob, not
+// an allocation storm. The gzip layer is a single member with no
+// trailing bytes and a bounded inflate.
+//
+// Any change to the body layout or to the meaning of a field must bump
+// SchemaVersion, so stale blobs miss instead of decoding into garbage.
 
 // ErrInvalidBlob marks bytes that are not a valid blob for the digest
-// they were presented under: unparseable JSON, a broken or truncated
-// compressed stream, a foreign schema version, or a digest mismatch. It
-// distinguishes "these bytes are garbage" (reject, recompute) from I/O
-// failures; the network daemon maps it to 400 Bad Request.
+// they were presented under: not the v3 container, a broken or truncated
+// compressed stream, a malformed body, a foreign schema version, or a
+// digest mismatch. It distinguishes "these bytes are garbage" (reject,
+// recompute) from I/O failures; the network daemon maps it to 400 Bad
+// Request.
 var ErrInvalidBlob = errors.New("invalid blob")
 
-// Blob container formats. The canonical envelope — the storedBlob JSON
-// above, which the digest/ETag contract and SchemaVersion govern — is
-// unchanged since v1; what changed in v2 and again in v3 is only the
-// container those canonical bytes (or, for v3, their bit-exact binary
-// equivalent) travel and rest in:
-//
-//	v1: the canonical JSON bytes, verbatim (plain, uncompressed)
-//	v2: gzip(canonical JSON bytes)
-//	v3: magic ‖ gzip(binary body)            (see codecv3.go)
-//
-// The three are distinguished by their leading bytes: the gzip magic
-// (0x1f 0x8b), the v3 magic (0xB3 'G' 'L' '3'), and the canonical
-// envelope's '{' — ContainerOf is the single sniff every layer shares.
-// Readers accept all three; writers emit v3. Because the canonical
-// envelope — and therefore everything the digest covers — is identical
-// across containers, neither v2 nor v3 bumped SchemaVersion (the same
-// reasoning that kept the manifest journal at schema 1: the campaign
-// payload contract is untouched), which is what makes the migrations
-// transparent: a v1 or v2 blob still matches its digest, still
-// validates, and is re-written as v3 the first time it is read.
-const (
-	gzipMagic0 = 0x1f
-	gzipMagic1 = 0x8b
-)
+// v3Magic opens every blob. Its first byte is outside ASCII and is not
+// the gzip magic, so neither legacy JSON nor bare gzip can pass for it.
+var v3Magic = [4]byte{0xB3, 'G', 'L', '3'}
 
-// IsGzipBlob sniffs the v2 (gzip) container. Most callers want the
-// three-way ContainerOf instead; this remains for the layers whose
-// question really is "is this byte stream a bare gzip member" (e.g.
-// HTTP Content-Encoding decisions).
-func IsGzipBlob(data []byte) bool {
-	return len(data) >= 2 && data[0] == gzipMagic0 && data[1] == gzipMagic1
-}
+// v3NilSlice is the slice tag distinguishing nil from empty.
+const v3NilSlice = ^uint32(0)
 
-// gzipBlobLevel is the compression level of every v2 container this
-// process writes. One fixed level keeps the bytes deterministic (equal
-// key ⇒ equal result ⇒ equal canonical bytes ⇒ equal compressed bytes
-// for writers of the same build), so idempotent duplicate Puts still
-// converge byte-for-byte. DefaultCompression trades a few extra ms on
-// the (compute-dominated) cold path for the best ratio on the warm
-// paths every later read and transfer pays.
+// canonicalNaN is the one NaN bit pattern blobs store.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// gzipBlobLevel is the compression level of every blob this process
+// writes. One fixed level keeps the bytes deterministic (equal key ⇒
+// equal result ⇒ equal blob for writers of the same build), so
+// idempotent duplicate Puts converge byte for byte.
 const gzipBlobLevel = gzip.DefaultCompression
 
-// Codec pools: encode/decode run on every warm store hit and every
-// wire transfer, so the gzip state machines (~hundreds of KB each) and
-// the sniff readers are recycled instead of reallocated per call.
+// Codec pools: encode and decode run on every warm store hit and every
+// wire transfer, so the gzip state machines (~hundreds of KB each) are
+// recycled instead of reallocated per call.
 var (
 	gzipWriters = sync.Pool{New: func() any {
 		w, _ := gzip.NewWriterLevel(io.Discard, gzipBlobLevel)
 		return w
 	}}
 	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
-	// decodeBufs holds the canonical bytes between inflation and the
-	// JSON parse. Safe to recycle immediately after Unmarshal —
-	// encoding/json copies every string out of its input — and it is
-	// what keeps a warm Get's allocation cost at the compressed size,
-	// not the canonical one.
+	// decodeBufs holds an inflated body for the length of one parse;
+	// the parse copies out everything it keeps.
 	decodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 )
 
-// maxCanonicalBytes bounds how far a compressed container may inflate —
-// the canonical form of a full-scale campaign blob is low megabytes, so
-// 256 MiB is a safety rail, not a working limit. Without it a crafted
-// gzip bomb (deflate approaches 1032:1) arriving through PutRaw or a
-// client Get body would balloon a bounded compressed payload into
-// gigabytes of decode buffer. A variable so the bomb test does not have
-// to inflate 256 MiB to cross it.
-var maxCanonicalBytes int64 = 256 << 20
+// maxBodyBytes bounds how far a blob may inflate. A full-scale campaign
+// body is low megabytes, so 256 MiB is a safety rail, not a working
+// limit: without it a crafted gzip bomb (deflate approaches 1032:1)
+// arriving through PutRaw or a client Get would balloon into gigabytes
+// of decode buffer. A variable so the bomb test need not inflate
+// 256 MiB to cross it.
+var maxBodyBytes int64 = 256 << 20
 
 // maxPooledDecodeBuf caps the scratch buffers decodeBufs retains; a
 // pathological blob's oversized buffer is dropped for GC instead of
@@ -447,8 +106,7 @@ func putDecodeBuf(buf *bytes.Buffer) {
 }
 
 // countingWriter measures the byte stream passing through it, so Put
-// can record both the canonical and the compressed size without ever
-// materialising either.
+// can record the on-disk size without materialising the blob.
 type countingWriter struct {
 	w io.Writer
 	n int64
@@ -460,313 +118,610 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// encodeEnvelope renders the canonical envelope JSON through
-// encoding/json — json.MarshalIndent, unchanged since v1. It is no
-// longer on any production path (the hand-rolled renderer in
-// canonical.go produces byte-identical output without materialising
-// the storedResult intermediate) but is retained as the reference
-// implementation the equivalence test pins the renderer against: the
-// canonical-bytes contract is "whatever MarshalIndent said", forever.
-func encodeEnvelope(k Key, res *core.Result) ([]byte, error) {
-	data, err := json.MarshalIndent(&storedBlob{
-		Schema:   SchemaVersion,
-		Digest:   k.Digest,
-		Profile:  k.Profile,
-		Instance: k.Instance,
-		Result:   encodeResult(res),
-	}, "", " ")
-	if err != nil {
-		return nil, fmt.Errorf("store: encode %s: %w", k, err)
-	}
-	return data, nil
+// appender is pooled write scratch: values are appended to buf and
+// flushed to w in bulk, so encoding a body performs zero allocations
+// and O(1) writes per scratch-buffer fill. n counts every byte
+// appended — the body size — and err latches the first failure, a
+// write error or a value the format refuses.
+type appender struct {
+	w   io.Writer
+	buf []byte
+	n   int64
+	err error
 }
 
-// encodeBlobTo writes the v2 container of a campaign result straight
-// into w: canonical JSON → pooled gzip writer → w. Superseded by
-// encodeBlobV3To on the Put path; kept behind EncodeBlobCompressed for
-// legacy-container fixtures and benchmarks. Returns the canonical size
-// for the index's RawBytes.
-func encodeBlobTo(w io.Writer, k Key, res *core.Result) (int64, error) {
-	data, err := encodeEnvelope(k, res)
-	if err != nil {
-		return 0, err
-	}
-	if err := gzipTo(w, data); err != nil {
-		return int64(len(data)), fmt.Errorf("store: encode %s: %w", k, err)
-	}
-	return int64(len(data)), nil
+var appenders = sync.Pool{New: func() any {
+	return &appender{buf: make([]byte, 0, 32<<10)}
+}}
+
+func getAppender(w io.Writer) *appender {
+	a := appenders.Get().(*appender)
+	a.w, a.buf, a.n, a.err = w, a.buf[:0], 0, nil
+	return a
 }
 
-// gzipTo deflates data into w through the writer pool — the one
-// deflate block both the encode path and the v1-heal compression use.
-func gzipTo(w io.Writer, data []byte) error {
+func putAppender(a *appender) {
+	a.w = nil
+	appenders.Put(a)
+}
+
+// flush drains buf into w; after the first error it only discards.
+func (a *appender) flush() {
+	if len(a.buf) == 0 {
+		return
+	}
+	if a.err == nil {
+		if _, err := a.w.Write(a.buf); err != nil {
+			a.err = err
+		}
+	}
+	a.buf = a.buf[:0]
+}
+
+// grow makes room for need more bytes, flushing if the scratch would
+// otherwise spill past its capacity (oversized single values simply
+// extend the buffer).
+func (a *appender) grow(need int) {
+	if len(a.buf)+need > cap(a.buf) {
+		a.flush()
+	}
+}
+
+// total flushes and returns the bytes appended and the first error.
+func (a *appender) total() (int64, error) {
+	a.flush()
+	return a.n, a.err
+}
+
+func (a *appender) u8(v byte) {
+	a.grow(1)
+	a.buf = append(a.buf, v)
+	a.n++
+}
+
+func (a *appender) bool8(v bool) {
+	if v {
+		a.u8(1)
+	} else {
+		a.u8(0)
+	}
+}
+
+func (a *appender) u32le(v uint32) {
+	a.grow(4)
+	a.buf = binary.LittleEndian.AppendUint32(a.buf, v)
+	a.n += 4
+}
+
+func (a *appender) u64le(v uint64) {
+	a.grow(8)
+	a.buf = binary.LittleEndian.AppendUint64(a.buf, v)
+	a.n += 8
+}
+
+func (a *appender) i64le(v int64) { a.u64le(uint64(v)) }
+
+// f64bits writes a plain float field, which must be finite.
+func (a *appender) f64bits(v float64) {
+	if (math.IsNaN(v) || math.IsInf(v, 0)) && a.err == nil {
+		a.err = fmt.Errorf("non-finite value %v in a plain float field", v)
+	}
+	a.u64le(math.Float64bits(v))
+}
+
+// f64canon writes a float field that may be non-finite, with NaN
+// canonicalised.
+func (a *appender) f64canon(v float64) {
+	if math.IsNaN(v) {
+		a.u64le(canonicalNaN)
+		return
+	}
+	a.u64le(math.Float64bits(v))
+}
+
+func (a *appender) str(s string) {
+	a.u32le(uint32(len(s)))
+	a.grow(len(s))
+	a.buf = append(a.buf, s...)
+	a.n += int64(len(s))
+}
+
+func (a *appender) f64Slice(xs []float64) {
+	if xs == nil {
+		a.u32le(v3NilSlice)
+		return
+	}
+	a.u32le(uint32(len(xs)))
+	for _, v := range xs {
+		a.f64canon(v)
+	}
+}
+
+func (a *appender) pairValue(p core.Pair) {
+	a.f64bits(p.InitMHz)
+	a.f64bits(p.TargetMHz)
+}
+
+func (a *appender) pairSlice(ps []core.Pair) {
+	if ps == nil {
+		a.u32le(v3NilSlice)
+		return
+	}
+	a.u32le(uint32(len(ps)))
+	for _, p := range ps {
+		a.pairValue(p)
+	}
+}
+
+// encodeBlobV3To streams the blob of a campaign result into w
+// (typically the atomic-rename staging file or a network body) through
+// the pooled gzip writer and returns the body size for the index's
+// RawBytes.
+func encodeBlobV3To(w io.Writer, k Key, res *core.Result) (int64, error) {
+	if _, err := w.Write(v3Magic[:]); err != nil {
+		return 0, fmt.Errorf("store: encode %s: %w", k, err)
+	}
 	gz := gzipWriters.Get().(*gzip.Writer)
 	gz.Reset(w)
-	_, werr := gz.Write(data)
-	cerr := gz.Close() // flushes; the pooled writer is reusable after Reset
+	a := getAppender(gz)
+	encodeV3Body(a, k, res)
+	n, err := a.total()
+	putAppender(a)
+	cerr := gz.Close()
 	gzipWriters.Put(gz)
-	if werr == nil {
-		werr = cerr
+	if err == nil {
+		err = cerr
 	}
-	return werr
+	if err != nil {
+		return n, fmt.Errorf("store: encode %s: %w", k, err)
+	}
+	return n, nil
 }
 
-// EncodeBlob renders the canonical (uncompressed) bytes of a campaign
-// result under its key — the bytes the digest/ETag contract vouches
-// for and that validation is defined over. Equal key ⇒ equal result ⇒
-// equal bytes, which is what makes a blob immutable for its digest.
-// Storage and the wire carry these bytes (or their bit-exact binary
-// equivalent) inside the v2/v3 containers; see EncodeBlobV3.
-func EncodeBlob(k Key, res *core.Result) ([]byte, error) {
+// EncodeBlobV3 renders the blob — what Put writes to disk and the
+// network client ships. Deterministic for a given key and build (fixed
+// gzip level, canonical NaN bits, no gzip header metadata), so
+// concurrent identical writers converge byte for byte.
+func EncodeBlobV3(k Key, res *core.Result) ([]byte, error) {
 	if res == nil {
 		return nil, fmt.Errorf("store: nil result for %s", k)
 	}
 	var buf bytes.Buffer
-	if _, err := writeCanonicalTo(&buf, k, res); err != nil {
-		return nil, fmt.Errorf("store: encode %s: %w", k, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// EncodeBlobCompressed renders the v2 container — gzip around the
-// canonical bytes. Writers emit v3 now (EncodeBlobV3); this remains
-// for the migration and conformance tests that plant legacy-generation
-// blobs, and for any legacy peer that needs bytes it can parse.
-// Deterministic for a given key and build (fixed gzip level, no gzip
-// header metadata), so concurrent identical writers converge.
-func EncodeBlobCompressed(k Key, res *core.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := encodeBlobTo(&buf, k, res); err != nil {
+	if _, err := encodeBlobV3To(&buf, k, res); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// WriteCanonical writes a blob's canonical bytes into w: identity
-// container bytes pass through verbatim, a v2 container is inflated
-// through the codec's pooled readers under the usual canonical-size
-// rail, and a v3 container is decoded and its canonical JSON rendered
-// on the fly. The network daemon uses it to serve identity-only
-// clients from whatever container the disk holds.
-func WriteCanonical(w io.Writer, data []byte) error {
-	switch ContainerOf(data) {
-	case ContainerV3:
-		res, k, err := decodeV3ForRender(data)
-		if err != nil {
-			return err
+func encodeV3Body(a *appender, k Key, res *core.Result) {
+	a.u32le(uint32(SchemaVersion))
+	a.u64le(0) // reserved
+	a.str(k.Digest)
+	a.str(k.Profile)
+	a.i64le(int64(k.Instance))
+
+	a.str(res.DeviceName)
+	a.str(res.Architecture)
+	a.i64le(res.CaptureHintNs)
+
+	if res.Phase1 == nil {
+		a.u8(0)
+	} else {
+		a.u8(1)
+		p1 := res.Phase1
+		if len(p1.Stats) == 0 {
+			a.u32le(v3NilSlice) // append-built: empty ⇒ nil
+		} else {
+			freqs := make([]float64, 0, len(p1.Stats))
+			for f := range p1.Stats {
+				freqs = append(freqs, f)
+			}
+			sortFloat64s(freqs)
+			a.u32le(uint32(len(freqs)))
+			for _, f := range freqs {
+				fs := p1.Stats[f]
+				a.f64bits(fs.FreqMHz)
+				a.i64le(int64(fs.Iter.N))
+				a.f64canon(fs.Iter.Mean)
+				a.f64canon(fs.Iter.Std)
+				a.bool8(fs.Normalish)
+			}
 		}
-		if _, err := writeCanonicalTo(w, k, res); err != nil {
-			return fmt.Errorf("store: render blob: %w", err)
+		a.pairSlice(p1.ValidPairs)
+		a.pairSlice(p1.Excluded)
+		if p1.Unstable == nil {
+			a.u32le(v3NilSlice)
+		} else {
+			a.u32le(uint32(len(p1.Unstable)))
+			for _, v := range p1.Unstable {
+				a.f64bits(v)
+			}
 		}
+	}
+
+	if len(res.Pairs) == 0 {
+		a.u32le(v3NilSlice) // append-built: empty ⇒ nil
+		return
+	}
+	a.u32le(uint32(len(res.Pairs)))
+	for _, pr := range res.Pairs {
+		if pr == nil {
+			a.u8(0)
+			continue
+		}
+		a.u8(1)
+		a.pairValue(pr.Pair)
+		if len(pr.Measurements) == 0 {
+			a.u32le(v3NilSlice) // append-built: empty ⇒ nil
+		} else {
+			a.u32le(uint32(len(pr.Measurements)))
+			for i := range pr.Measurements {
+				m := &pr.Measurements[i]
+				a.pairValue(m.Pair)
+				a.f64canon(m.LatencyMs)
+				a.i64le(m.TsDevNs)
+				a.i64le(m.TeDevNs)
+				a.i64le(int64(m.SM))
+				a.i64le(int64(m.TransitionIndex))
+				a.f64canon(m.InjectedMs)
+				a.i64le(m.SyncSpreadNs)
+			}
+		}
+		a.f64Slice(pr.Samples)
+		a.f64Slice(pr.Injected)
+		a.i64le(int64(pr.Attempts))
+		a.i64le(int64(pr.Failures))
+		a.i64le(int64(pr.DiscardedByThrottle))
+		a.i64le(int64(pr.ThrottleEvents))
+		a.bool8(pr.Skipped)
+		a.str(pr.SkipReason)
+		a.f64Slice(pr.Kept)
+		a.f64Slice(pr.Outliers)
+		if pr.Clusters == nil {
+			a.u8(0)
+		} else {
+			a.u8(1)
+			c := pr.Clusters
+			if c.Labels == nil {
+				a.u32le(v3NilSlice)
+			} else {
+				a.u32le(uint32(len(c.Labels)))
+				for _, l := range c.Labels {
+					a.i64le(int64(l))
+				}
+			}
+			a.i64le(int64(c.NumClusters))
+			a.f64canon(c.Eps)
+			a.i64le(int64(c.MinPts))
+		}
+		s := pr.Summary
+		a.i64le(int64(s.N))
+		a.f64canon(s.Mean)
+		a.f64canon(s.Std)
+		a.f64canon(s.Min)
+		a.f64canon(s.Q05)
+		a.f64canon(s.Q25)
+		a.f64canon(s.Median)
+		a.f64canon(s.Q75)
+		a.f64canon(s.Q95)
+		a.f64canon(s.Max)
+		a.f64canon(pr.FinalRSE)
+	}
+}
+
+// sortFloat64s is an insertion sort: phase-1 sweeps a handful of
+// frequencies, and the tiny fixed cost avoids pulling sort's interface
+// machinery into the encode path.
+func sortFloat64s(xs []float64) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+}
+
+// v3Reader is the bounds-checked cursor over an inflated body. The
+// first malformed read latches err and turns every subsequent read into
+// a cheap zero-value no-op, so decoders need no per-field error
+// plumbing; strings and slices are copied out, because the backing
+// buffer is pooled scratch that is recycled the moment the parse
+// returns.
+type v3Reader struct {
+	b   []byte
+	off int
+	err error
+}
+
+func (r *v3Reader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (r *v3Reader) need(n int64) bool {
+	if r.err != nil {
+		return false
+	}
+	if n < 0 || int64(len(r.b)-r.off) < n {
+		r.fail("truncated body: need %d bytes at offset %d of %d", n, r.off, len(r.b))
+		return false
+	}
+	return true
+}
+
+func (r *v3Reader) u8() byte {
+	if !r.need(1) {
+		return 0
+	}
+	v := r.b[r.off]
+	r.off++
+	return v
+}
+
+func (r *v3Reader) u32() uint32 {
+	if !r.need(4) {
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(r.b[r.off:])
+	r.off += 4
+	return v
+}
+
+func (r *v3Reader) u64() uint64 {
+	if !r.need(8) {
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b[r.off:])
+	r.off += 8
+	return v
+}
+
+func (r *v3Reader) i64() int64   { return int64(r.u64()) }
+func (r *v3Reader) int() int     { return int(r.u64()) }
+func (r *v3Reader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+// count reads a slice tag and validates it against the bytes actually
+// remaining: n elements of elemSize bytes each must fit in the unread
+// body. Returns -1 for the nil tag and for any error.
+func (r *v3Reader) count(elemSize int64) int {
+	tag := r.u32()
+	if r.err != nil || tag == v3NilSlice {
+		return -1
+	}
+	n := int64(tag)
+	if n > int64(len(r.b)-r.off)/elemSize {
+		r.fail("slice count %d overruns the %d-byte body", n, len(r.b))
+		return -1
+	}
+	return int(n)
+}
+
+func (r *v3Reader) str() string {
+	n := r.u32()
+	if !r.need(int64(n)) {
+		return ""
+	}
+	s := string(r.b[r.off : r.off+int(n)]) // copies out of the pooled buffer
+	r.off += int(n)
+	return s
+}
+
+func (r *v3Reader) f64Slice() []float64 {
+	n := r.count(8)
+	if n < 0 {
 		return nil
-	case ContainerV2:
-		r := bytes.NewReader(data)
-		gz := gzipReaders.Get().(*gzip.Reader)
-		if err := gz.Reset(r); err != nil {
-			gzipReaders.Put(gz)
-			return fmt.Errorf("store: inflate blob: %w", err)
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = r.f64()
+	}
+	return out
+}
+
+func (r *v3Reader) pairValue() core.Pair {
+	return core.Pair{InitMHz: r.f64(), TargetMHz: r.f64()}
+}
+
+func (r *v3Reader) pairSlice() []core.Pair {
+	n := r.count(16)
+	if n < 0 {
+		return nil
+	}
+	out := make([]core.Pair, n)
+	for i := range out {
+		out[i] = r.pairValue()
+	}
+	return out
+}
+
+// decodeV3Body parses an inflated body straight into the envelope
+// identity and the campaign result, with the schema check; the caller
+// checks the digest.
+func decodeV3Body(body []byte) (Key, *core.Result, error) {
+	r := &v3Reader{b: body}
+	if schema := r.u32(); r.err == nil && schema != SchemaVersion {
+		return Key{}, nil, fmt.Errorf("schema %d, want %d", schema, SchemaVersion)
+	}
+	r.u64() // reserved
+	k := Key{Digest: r.str(), Profile: r.str(), Instance: r.int()}
+
+	res := &core.Result{DeviceName: r.str(), Architecture: r.str(), CaptureHintNs: r.i64()}
+	if r.u8() != 0 {
+		n := r.count(33) // 8+8+8+8+1 per stat
+		p1 := &core.Phase1Result{Stats: make(map[float64]core.FreqStats, max(n, 0))}
+		for i := 0; i < n; i++ {
+			fs := core.FreqStats{FreqMHz: r.f64()}
+			fs.Iter = stats.MeanStd{N: r.int(), Mean: r.f64(), Std: r.f64()}
+			fs.Normalish = r.u8() != 0
+			p1.Stats[fs.FreqMHz] = fs
 		}
-		gz.Multistream(false)
-		buf := copyBufs.Get().(*[]byte)
-		_, err := io.CopyBuffer(w, io.LimitReader(gz, maxCanonicalBytes), *buf)
-		copyBufs.Put(buf)
-		gz.Close()
+		p1.ValidPairs = r.pairSlice()
+		p1.Excluded = r.pairSlice()
+		if n := r.count(8); n >= 0 {
+			p1.Unstable = make([]float64, n)
+			for i := range p1.Unstable {
+				p1.Unstable[i] = r.f64()
+			}
+		}
+		res.Phase1 = p1
+	}
+
+	// A pair is at minimum a presence byte; deeper counts are checked
+	// against the remaining bytes as they stream past.
+	if n := r.count(1); n > 0 {
+		res.Pairs = make([]*core.PairResult, 0, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			if r.u8() == 0 {
+				res.Pairs = append(res.Pairs, nil)
+				continue
+			}
+			res.Pairs = append(res.Pairs, r.pair())
+		}
+	}
+
+	if r.err != nil {
+		return Key{}, nil, r.err
+	}
+	if r.off != len(r.b) {
+		return Key{}, nil, fmt.Errorf("%d trailing bytes after body", len(r.b)-r.off)
+	}
+	return k, res, nil
+}
+
+func (r *v3Reader) pair() *core.PairResult {
+	pr := &core.PairResult{Pair: r.pairValue()}
+	if n := r.count(72); n > 0 { // 16+8*7 per measurement
+		pr.Measurements = make([]core.Measurement, n)
+		for i := range pr.Measurements {
+			pr.Measurements[i] = core.Measurement{
+				Pair:            r.pairValue(),
+				LatencyMs:       r.f64(),
+				TsDevNs:         r.i64(),
+				TeDevNs:         r.i64(),
+				SM:              r.int(),
+				TransitionIndex: r.int(),
+				InjectedMs:      r.f64(),
+				SyncSpreadNs:    r.i64(),
+			}
+		}
+	}
+	pr.Samples = r.f64Slice()
+	pr.Injected = r.f64Slice()
+	pr.Attempts = r.int()
+	pr.Failures = r.int()
+	pr.DiscardedByThrottle = r.int()
+	pr.ThrottleEvents = r.int()
+	pr.Skipped = r.u8() != 0
+	pr.SkipReason = r.str()
+	pr.Kept = r.f64Slice()
+	pr.Outliers = r.f64Slice()
+	if r.u8() != 0 {
+		c := &cluster.Result{}
+		if n := r.count(8); n >= 0 {
+			c.Labels = make([]int, n)
+			for i := range c.Labels {
+				c.Labels[i] = r.int()
+			}
+		}
+		c.NumClusters = r.int()
+		c.Eps = r.f64()
+		c.MinPts = r.int()
+		pr.Clusters = c
+	}
+	pr.Summary = stats.Summary{
+		N: r.int(), Mean: r.f64(), Std: r.f64(), Min: r.f64(),
+		Q05: r.f64(), Q25: r.f64(), Median: r.f64(),
+		Q75: r.f64(), Q95: r.f64(), Max: r.f64(),
+	}
+	pr.FinalRSE = r.f64()
+	return pr
+}
+
+// inflateV3 inflates the gzip stream after the magic into the pooled
+// scratch buffer: single member, bounded inflation, no trailing bytes.
+// The full inflate-before-parse is what verifies the gzip CRC, so a
+// truncated or bit-flipped stream whose prefix still deflates is never
+// served. The returned buffer must be released with putDecodeBuf once
+// the parse has copied everything it keeps.
+func inflateV3(data []byte) (*bytes.Buffer, error) {
+	r := bytes.NewReader(data[len(v3Magic):])
+	gz := gzipReaders.Get().(*gzip.Reader)
+	if err := gz.Reset(r); err != nil {
 		gzipReaders.Put(gz)
-		if err != nil {
-			return fmt.Errorf("store: inflate blob: %w", err)
-		}
-		return nil
-	default:
-		_, err := w.Write(data)
-		return err
+		return nil, err
 	}
+	// Single-member only: in (the default) multistream mode a second
+	// concatenated gzip member would be transparently appended, letting
+	// arbitrary padding hide behind a valid digest.
+	gz.Multistream(false)
+	buf := decodeBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, rerr := buf.ReadFrom(io.LimitReader(gz, maxBodyBytes+1))
+	gz.Close()
+	gzipReaders.Put(gz)
+	if rerr != nil {
+		putDecodeBuf(buf)
+		return nil, rerr
+	}
+	if int64(buf.Len()) > maxBodyBytes {
+		putDecodeBuf(buf)
+		return nil, fmt.Errorf("body inflates past %d bytes", maxBodyBytes)
+	}
+	// flate never reads past the final block and gzip reads exactly the
+	// 8-byte trailer, so whatever remains in r is trailing data.
+	if r.Len() != 0 {
+		putDecodeBuf(buf)
+		return nil, fmt.Errorf("%d trailing bytes after container", r.Len())
+	}
+	return buf, nil
 }
 
-// WriteCanonicalCompressed writes gzip(canonical bytes) — the v2
-// container — into w from any disk container: v2 passes through
-// verbatim, v1 deflates the canonical bytes, and v3 decodes and
-// re-renders the canonical JSON straight through the pooled gzip
-// writer. The daemon uses it to serve gzip-accepting legacy clients
-// (which understand the canonical bytes under Content-Encoding: gzip,
-// but not the v3 container) from a v3-era disk. Deterministic, so the
-// response equals what EncodeBlobCompressed would produce.
-func WriteCanonicalCompressed(w io.Writer, data []byte) error {
-	switch ContainerOf(data) {
-	case ContainerV2:
-		_, err := w.Write(data)
-		return err
-	case ContainerV3:
-		res, k, err := decodeV3ForRender(data)
-		if err != nil {
-			return err
-		}
-		gz := gzipWriters.Get().(*gzip.Writer)
-		gz.Reset(w)
-		_, rerr := writeCanonicalTo(gz, k, res)
-		cerr := gz.Close()
-		gzipWriters.Put(gz)
-		if rerr == nil {
-			rerr = cerr
-		}
-		if rerr != nil {
-			return fmt.Errorf("store: render blob: %w", rerr)
-		}
-		return nil
-	default:
-		if err := gzipTo(w, data); err != nil {
-			return fmt.Errorf("store: compress blob: %w", err)
-		}
-		return nil
-	}
-}
-
-// decodeV3ForRender decodes a v3 container far enough to re-render its
-// canonical form: the envelope key plus the decoded result.
-func decodeV3ForRender(data []byte) (*core.Result, Key, error) {
-	buf, err := inflateV3(data)
-	if err != nil {
-		return nil, Key{}, fmt.Errorf("store: inflate blob: %w", err)
-	}
-	b, _, derr := decodeV3Body(buf.Bytes())
-	putDecodeBuf(buf)
-	if derr != nil {
-		return nil, Key{}, fmt.Errorf("store: decode blob: %w", derr)
-	}
-	return decodeResult(b.Result), Key{Digest: b.Digest, Profile: b.Profile, Instance: b.Instance}, nil
-}
-
-// copyBufs holds WriteCanonical's copy scratch.
-var copyBufs = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
-
-// compressBlobBytes wraps already-canonical blob bytes in the v2
-// container — the migration path that heals a v1 blob without
-// re-encoding its payload.
-func compressBlobBytes(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(len(data) / 3)
-	if err := gzipTo(&buf, data); err != nil {
-		return nil, fmt.Errorf("store: compress blob: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodePasses counts every full blob parse (any container) this
-// process has performed. It exists for the single-validation pipeline
-// contract: tests instrument it to prove that a warm remote Get
-// decodes the wire bytes exactly once before they land in the local
-// tier verbatim.
+// decodePasses counts every full blob parse this process has
+// performed. It exists for the single-validation pipeline contract:
+// tests instrument it to prove that a warm remote Get decodes the wire
+// bytes exactly once before they land in the local tier verbatim.
 var decodePasses atomic.Int64
 
 // DecodePasses returns the number of blob parses performed so far —
 // an instrumentation hook, not an operational counter.
 func DecodePasses() int64 { return decodePasses.Load() }
 
-// parseBlob validates blob bytes in any container format against the
-// digest they are stored (or addressed) under and returns the envelope
-// plus the canonical byte count. A compressed container is inflated
-// through a pooled gzip reader into a pooled scratch buffer — the full
-// inflate-before-parse is what verifies the gzip CRC, so a truncated
-// or bit-flipped stream whose prefix still deflates can never be
-// served — and the JSON (v1/v2) or binary (v3) parse runs over that
-// recycled buffer, keeping a warm decode's allocations proportional to
-// the compressed size. Any mismatch — garbage JSON, a malformed binary
-// section, a broken gzip stream or checksum, schema drift, a blob
-// renamed onto the wrong digest, a truncated body, trailing garbage —
-// wraps ErrInvalidBlob; callers treat it as a cache miss and
-// recompute.
-func parseBlob(data []byte, digest string) (b *storedBlob, rawBytes int64, cont Container, err error) {
+// parseBlob validates blob bytes against the digest they are stored
+// (or addressed) under and returns the envelope key, the decoded
+// result and the body size. Anything else — bytes without the v3
+// magic (including the retired JSON containers), a broken gzip stream
+// or checksum, a malformed body, schema drift, a blob renamed onto the
+// wrong digest, trailing garbage — wraps ErrInvalidBlob; callers treat
+// it as a cache miss and recompute.
+func parseBlob(data []byte, digest string) (Key, *core.Result, int64, error) {
 	decodePasses.Add(1)
-	invalid := func(cause error) error {
-		return fmt.Errorf("store: blob %s: %w: %v", digest, ErrInvalidBlob, cause)
+	invalid := func(cause error) (Key, *core.Result, int64, error) {
+		return Key{}, nil, 0, fmt.Errorf("store: blob %s: %w: %v", digest, ErrInvalidBlob, cause)
 	}
-	cont = ContainerOf(data)
-	var canonical []byte
-	switch cont {
-	case ContainerV3:
-		buf, ierr := inflateV3(data)
-		if ierr != nil {
-			return nil, 0, cont, invalid(ierr)
-		}
-		b, rawBytes, err = decodeV3Body(buf.Bytes())
-		putDecodeBuf(buf)
-		if err != nil {
-			return nil, 0, cont, invalid(err)
-		}
-	case ContainerV2:
-		r := bytes.NewReader(data)
-		gz := gzipReaders.Get().(*gzip.Reader)
-		if rerr := gz.Reset(r); rerr != nil {
-			gzipReaders.Put(gz)
-			return nil, 0, cont, invalid(rerr)
-		}
-		// Single-member containers only: in (the default) multistream
-		// mode a second concatenated gzip member would be transparently
-		// appended, letting arbitrary padding hide behind a valid
-		// digest and breaking the container's byte determinism.
-		gz.Multistream(false)
-		buf := decodeBufs.Get().(*bytes.Buffer)
-		buf.Reset()
-		defer putDecodeBuf(buf)
-		// ReadFrom drains the member to EOF, which forces the gzip
-		// footer read and its CRC check. The limit turns a
-		// decompression bomb into an invalid blob instead of an
-		// allocation storm.
-		_, rerr := buf.ReadFrom(io.LimitReader(gz, maxCanonicalBytes+1))
-		gz.Close()
-		gzipReaders.Put(gz)
-		if rerr != nil {
-			return nil, 0, cont, invalid(rerr)
-		}
-		if int64(buf.Len()) > maxCanonicalBytes {
-			return nil, 0, cont, invalid(fmt.Errorf("inflates past %d bytes", maxCanonicalBytes))
-		}
-		// flate never reads past the final block and gzip reads exactly
-		// the 8-byte trailer, so whatever remains in r is trailing data
-		// after the container — reject it.
-		if r.Len() != 0 {
-			return nil, 0, cont, invalid(fmt.Errorf("%d trailing bytes after container", r.Len()))
-		}
-		canonical = buf.Bytes()
-	default: // ContainerV1: the canonical bytes verbatim
-		canonical = data
+	if !bytes.HasPrefix(data, v3Magic[:]) {
+		return invalid(errors.New("not a v3 container"))
 	}
-	if cont != ContainerV3 {
-		rawBytes = int64(len(canonical))
-		// The identity container honours the same rail: an oversized
-		// plain blob accepted here would be re-containered on the way
-		// down and then trip the inflate limit on every read — the
-		// store-then-self-delete loop Put also refuses.
-		if rawBytes > maxCanonicalBytes {
-			return nil, rawBytes, cont, invalid(fmt.Errorf("canonical size %d exceeds the %d-byte bound",
-				rawBytes, maxCanonicalBytes))
-		}
-		b = new(storedBlob)
-		if derr := json.Unmarshal(canonical, b); derr != nil {
-			return nil, rawBytes, cont, invalid(derr)
-		}
+	buf, err := inflateV3(data)
+	if err != nil {
+		return invalid(err)
 	}
-	if b.Schema != SchemaVersion {
-		return nil, rawBytes, cont, fmt.Errorf("store: blob %s: %w: schema %d, want %d",
-			digest, ErrInvalidBlob, b.Schema, SchemaVersion)
+	bodyBytes := int64(buf.Len())
+	k, res, err := decodeV3Body(buf.Bytes())
+	putDecodeBuf(buf)
+	if err != nil {
+		return invalid(err)
 	}
-	if b.Digest != digest {
-		return nil, rawBytes, cont, fmt.Errorf("store: %w: blob digest %s does not match key %s",
-			ErrInvalidBlob, b.Digest, digest)
+	if k.Digest != digest {
+		return invalid(fmt.Errorf("blob digest %s does not match key", k.Digest))
 	}
-	return b, rawBytes, cont, nil
+	return k, res, bodyBytes, nil
 }
 
-// ValidateBlob parses and validates raw blob bytes — v1 (plain), v2
-// (gzip) or v3 (binary) container alike — against a digest and returns
-// the decoded result. The network client runs every response body
-// through it, so a truncated or tampered transfer is a miss (and a
-// recompute), never a wrong result. Callers that go on to store the
-// bytes should use ValidateBlobBytes instead, which keeps the
-// validated bytes and the decoded result together.
+// ValidateBlob parses and validates raw blob bytes against a digest and
+// returns the decoded result. Callers that go on to store the bytes
+// should use ValidateBlobBytes instead, which keeps the validated bytes
+// and the decoded result together.
 func ValidateBlob(data []byte, digest string) (*core.Result, error) {
-	b, _, _, err := parseBlob(data, digest)
-	if err != nil {
-		return nil, err
-	}
-	return decodeResult(b.Result), nil
+	_, res, _, err := parseBlob(data, digest)
+	return res, err
 }

@@ -73,6 +73,9 @@ func TestV3CompatibilityPin(t *testing.T) {
 			if len(oldBody) != len(newBody) {
 				t.Fatalf("body length %d, committed %d", len(newBody), len(oldBody))
 			}
+			if vb.RawBytes() != int64(len(oldBody)) {
+				t.Fatalf("RawBytes = %d, want the body size %d", vb.RawBytes(), len(oldBody))
+			}
 			for i := range oldBody {
 				if (i < 4 || i > 11) && oldBody[i] != newBody[i] {
 					t.Fatalf("body byte %d = %#x, committed %#x", i, newBody[i], oldBody[i])

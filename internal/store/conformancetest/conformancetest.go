@@ -6,17 +6,19 @@
 // instead of an interface assertion.
 //
 // The suite asserts observable contract, not implementation: reads
-// degrade to misses (corrupt blobs included, which must heal on the
-// next Put), writes surface errors, Has is a cheap non-validating
-// probe, leases are exclusive compare-and-swap claims whose
-// per-acquisition tokens protect a stealer from its victim's stale
-// handle, and GC bounds the authoritative tier. Counter assertions are
-// lower bounds — a tiered backend may serve hits its remote never
-// sees.
+// degrade to misses (corrupt blobs and the retired v1/v2 containers
+// included, which must heal on the next Put), writes surface errors,
+// Has is a cheap non-validating probe, leases are exclusive
+// compare-and-swap claims — of any number of racing claimants exactly
+// one wins — whose per-acquisition tokens protect a stealer from its
+// victim's stale handle, and GC bounds the authoritative tier. Counter
+// assertions are lower bounds — a tiered backend may serve hits its
+// remote never sees.
 package conformancetest
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"math"
 	"sync"
@@ -41,16 +43,23 @@ type Harness struct {
 	// reach).
 	Corrupt func(digest string)
 
-	// Plant, when non-nil, writes raw container bytes under the digest
-	// in the authoritative tier the backend reads from — the hook the
-	// mixed-container subtest uses to seed legacy v1/v2 blobs a real
+	// Plant, when non-nil, writes raw bytes under the digest in the
+	// authoritative tier the backend reads from — the hook the
+	// legacy-container subtest uses to seed the v1/v2 blobs an old
 	// deployment's directory may still hold. Nil skips that subtest.
 	Plant func(digest string, data []byte)
 
 	// ReadBlob, when non-nil, returns the authoritative tier's current
 	// on-disk bytes for the digest (nil if absent), so the suite can
-	// assert legacy blobs heal forward to the current container.
+	// assert a legacy blob is deleted on read and replaced by the
+	// current container on re-Put.
 	ReadBlob func(digest string) []byte
+
+	// StoreCounters, when non-nil, sums the counters of the directory
+	// stores behind the backend. A remote backend cannot see its
+	// daemon's Corrupt count (an invalid blob is just a 404 on the
+	// wire); nil means the backend's own Counters are the store's.
+	StoreCounters func() store.Counters
 }
 
 // Run drives the full conformance suite against backends produced by
@@ -63,8 +72,9 @@ func Run(t *testing.T, open func(t *testing.T) Harness) {
 	t.Run("IndexAndLen", func(t *testing.T) { testIndexAndLen(t, open(t)) })
 	t.Run("LeaseExclusive", func(t *testing.T) { testLeaseExclusive(t, open(t)) })
 	t.Run("LeaseExpirySteal", func(t *testing.T) { testLeaseExpirySteal(t, open(t)) })
+	t.Run("ExactlyOneClaimWins", func(t *testing.T) { testExactlyOneClaimWins(t, open(t)) })
 	t.Run("CorruptBlobIsMissAndHeals", func(t *testing.T) { testCorrupt(t, open(t)) })
-	t.Run("MixedContainerHeal", func(t *testing.T) { testMixedContainerHeal(t, open(t)) })
+	t.Run("LegacyContainerIsMiss", func(t *testing.T) { testLegacyContainerIsMiss(t, open(t)) })
 	t.Run("GCBoundsTheStore", func(t *testing.T) { testGC(t, open(t)) })
 	t.Run("ConcurrentPutGet", func(t *testing.T) { testConcurrent(t, open(t)) })
 }
@@ -103,21 +113,21 @@ func Result(i int) *core.Result {
 	}
 }
 
-// mustEqual compares results through the canonical encoding — the
-// bytes the store contract is defined over — so NaN and map ordering
-// compare correctly.
+// mustEqual compares results through their blob encoding, which is
+// deterministic and canonicalises NaN, so NaN and map ordering compare
+// correctly.
 func mustEqual(t *testing.T, k store.Key, got, want *core.Result) {
 	t.Helper()
-	ge, err := store.EncodeBlob(k, got)
+	ge, err := store.EncodeBlobV3(k, got)
 	if err != nil {
 		t.Fatalf("encode got: %v", err)
 	}
-	we, err := store.EncodeBlob(k, want)
+	we, err := store.EncodeBlobV3(k, want)
 	if err != nil {
 		t.Fatalf("encode want: %v", err)
 	}
 	if !bytes.Equal(ge, we) {
-		t.Fatalf("result for %s did not round-trip canonically", k)
+		t.Fatalf("result for %s did not round-trip", k)
 	}
 }
 
@@ -277,58 +287,127 @@ func testCorrupt(t *testing.T, h Harness) {
 	mustEqual(t, k, got, want)
 }
 
-// testMixedContainerHeal seeds the backend's authoritative tier with
-// one blob per container generation — v1 plain JSON, v2 gzip JSON, v3
-// binary — and asserts every backend serves all three as first-class
-// hits with canonically identical results, then (where the harness can
-// read the tier back) that the legacy blobs have healed forward to the
-// current container. This is the cross-version deployment story: a
-// directory written by any earlier release keeps working through any
-// backend, and converges on the current format by being read.
-func testMixedContainerHeal(t *testing.T, h Harness) {
+// testExactlyOneClaimWins races eight claimants on one fresh digest:
+// exactly one is granted, and once it has Put and Released, every loser
+// finds the result instead of computing it again.
+func testExactlyOneClaimWins(t *testing.T, h Harness) {
+	const claimants = 8
+	k, want := Key(t, 70), Result(70)
+	type claim struct {
+		lease store.LeaseHandle
+		ok    bool
+		err   error
+	}
+	claims := make([]claim, claimants)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range claims {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			l, ok, err := h.Backend.TryAcquire(k.Digest, fmt.Sprintf("claimant-%d", i), time.Minute)
+			claims[i] = claim{l, ok, err}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	winner := -1
+	for i, c := range claims {
+		if c.err != nil {
+			t.Fatalf("claimant %d: %v", i, c.err)
+		}
+		if !c.ok {
+			continue
+		}
+		if winner >= 0 {
+			t.Fatalf("claimants %d and %d both won the lease", winner, i)
+		}
+		winner = i
+	}
+	if winner < 0 {
+		t.Fatal("no claimant won a fresh lease")
+	}
+	if err := h.Backend.Put(k, want); err != nil {
+		t.Fatalf("winner Put: %v", err)
+	}
+	if err := claims[winner].lease.Release(); err != nil {
+		t.Fatalf("winner Release: %v", err)
+	}
+	for i := range claims {
+		if i == winner {
+			continue
+		}
+		got, ok := h.Backend.Get(k)
+		if !ok {
+			t.Fatalf("claimant %d missed the winner's result", i)
+		}
+		mustEqual(t, k, got, want)
+	}
+}
+
+// LegacyBlobs returns, byte for byte, what releases before the v3
+// container wrote for a minimal result under k: "v1" is the plain
+// canonical JSON envelope, "v2" that JSON gzipped. Every backend must
+// treat both as invalid blobs.
+func LegacyBlobs(t testing.TB, k store.Key) map[string][]byte {
+	t.Helper()
+	v1 := []byte(fmt.Sprintf("{\n \"schema\": 1,\n \"digest\": %q,\n \"profile\": %q,\n \"instance\": %d,\n"+
+		" \"result\": {\n  \"device_name\": \"legacy\",\n  \"architecture\": \"\",\n"+
+		"  \"capture_hint_ns\": 0,\n  \"pairs\": null\n }\n}", k.Digest, k.Profile, k.Instance))
+	var v2 bytes.Buffer
+	zw := gzip.NewWriter(&v2)
+	if _, err := zw.Write(v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{"v1": v1, "v2": v2.Bytes()}
+}
+
+// testLegacyContainerIsMiss plants a v1 and a v2 blob in the backend's
+// authoritative tier and asserts each is an invalid blob: Get misses,
+// the storage counts it Corrupt and (where the harness can look)
+// deletes it, and the recompute's re-Put writes the current container,
+// which then hits.
+func testLegacyContainerIsMiss(t *testing.T, h Harness) {
 	if h.Plant == nil {
 		t.Skip("harness cannot seed the backend's storage")
 	}
-	encoders := []struct {
-		name   string
-		encode func(store.Key, *core.Result) ([]byte, error)
-	}{
-		{"v1", store.EncodeBlob},
-		{"v2", store.EncodeBlobCompressed},
-		{"v3", store.EncodeBlobV3},
+	counters := h.StoreCounters
+	if counters == nil {
+		counters = h.Backend.Counters
 	}
-	for i, enc := range encoders {
+	for i, name := range []string{"v1", "v2"} {
 		k, want := Key(t, 60+i), Result(60+i)
-		data, err := enc.encode(k, want)
-		if err != nil {
-			t.Fatalf("%s encode: %v", enc.name, err)
+		h.Plant(k.Digest, LegacyBlobs(t, k)[name])
+		before := counters().Corrupt
+		if res, ok := h.Backend.Get(k); ok {
+			t.Fatalf("planted %s blob served as a hit: %v", name, res)
 		}
-		h.Plant(k.Digest, data)
+		if got := counters().Corrupt - before; got < 1 {
+			t.Fatalf("reading the %s blob raised Corrupt by %d, want ≥ 1", name, got)
+		}
+		if h.ReadBlob != nil && h.ReadBlob(k.Digest) != nil {
+			t.Fatalf("%s blob left in the authoritative tier after the miss", name)
+		}
 
-		got, ok := h.Backend.Get(k)
-		if !ok {
-			t.Fatalf("planted %s blob missed", enc.name)
-		}
-		mustEqual(t, k, got, want)
-		if !h.Backend.Has(k) {
-			t.Fatalf("Has = false for the planted %s blob", enc.name)
+		if err := h.Backend.Put(k, want); err != nil {
+			t.Fatalf("re-Put over the %s blob: %v", name, err)
 		}
 		if h.ReadBlob != nil {
-			healed := h.ReadBlob(k.Digest)
-			if healed == nil {
-				t.Fatalf("%s blob vanished from the authoritative tier", enc.name)
+			blob, err := store.EncodeBlobV3(k, want)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if store.ContainerOf(healed) != store.ContainerV3 {
-				t.Fatalf("%s blob not healed to the current container on read", enc.name)
-			}
-			if _, err := store.ValidateBlob(healed, k.Digest); err != nil {
-				t.Fatalf("healed %s blob does not validate: %v", enc.name, err)
+			if !bytes.Equal(h.ReadBlob(k.Digest), blob) {
+				t.Fatalf("re-Put over the %s blob did not write the current container", name)
 			}
 		}
-		// The heal is not a one-read wonder: the same key keeps hitting.
-		got, ok = h.Backend.Get(k)
+		got, ok := h.Backend.Get(k)
 		if !ok {
-			t.Fatalf("%s blob missed on the post-heal read", enc.name)
+			t.Fatalf("Get after the re-Put over the %s blob: miss", name)
 		}
 		mustEqual(t, k, got, want)
 	}

@@ -2,54 +2,45 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
-	"math"
+	"errors"
 	"testing"
 )
 
 // FuzzDecodeBlob throws arbitrary bytes at the full blob-validation
-// path — container sniffing, inflation under the canonical-size rail,
-// the bounds-checked v3 binary walk, JSON decode, digest/schema
-// checks. The invariant is the store's corrupt-blob promise: any input
-// either validates to a non-nil result or returns an error; it never
-// panics and a compressed container never inflates past
-// maxCanonicalBytes (a bomb is an invalid blob, not an allocation
-// storm).
+// path — the magic check, inflation under the body-size rail, the
+// bounds-checked binary walk, digest/schema checks. The invariant is
+// the store's corrupt-blob promise: any input either validates to a
+// non-nil result or returns an error; it never panics and never
+// inflates past maxBodyBytes (a bomb is an invalid blob, not an
+// allocation storm).
 func FuzzDecodeBlob(f *testing.F) {
 	k := mustKey(f, 0, 42)
-	plain, err := EncodeBlob(k, testResult())
-	if err != nil {
-		f.Fatal(err)
-	}
-	comp, err := EncodeBlobCompressed(k, testResult())
-	if err != nil {
-		f.Fatal(err)
-	}
 	v3, err := EncodeBlobV3(k, testResult())
 	if err != nil {
 		f.Fatal(err)
 	}
+	// The retired containers under the same digest — plain and gzipped
+	// JSON an earlier release wrote — are invalid blobs.
+	v1, v2 := legacyBlob(f, k, false), legacyBlob(f, k, true)
+	for _, legacy := range [][]byte{v1, v2} {
+		if _, err := ValidateBlob(legacy, k.Digest); !errors.Is(err, ErrInvalidBlob) {
+			f.Fatalf("legacy seed err = %v, want ErrInvalidBlob", err)
+		}
+		f.Add(legacy)
+	}
 
-	f.Add(plain)
-	f.Add(comp)
 	f.Add(v3)
-	// Truncations tear the container at every layer: mid-JSON for v1,
-	// mid-deflate-stream and mid-gzip-footer for v2/v3, and — for v3 —
-	// mid-length-prefix and mid-section inside the inflated binary body.
-	f.Add(plain[:len(plain)/2])
-	for _, src := range [][]byte{comp, v3} {
-		f.Add(src[:len(src)/2])
-		f.Add(src[:len(src)-4]) // gzip CRC/ISIZE footer torn off
-	}
-	// Bit flips corrupt without truncating — on v3 they land in the
-	// deflate stream (CRC catch) or the magic (container misdetect).
-	for _, src := range [][]byte{plain, comp, v3} {
-		flipped := bytes.Clone(src)
-		flipped[len(flipped)/3] ^= 0x40
-		f.Add(flipped)
-	}
-	// Torn and misaligned v3 bodies behind an intact gzip layer: the
+	// Truncations tear the blob at every layer: mid-deflate-stream,
+	// mid-gzip-footer, and — behind an intact gzip layer below —
+	// mid-length-prefix and mid-section inside the inflated body.
+	f.Add(v3[:len(v3)/2])
+	f.Add(v3[:len(v3)-4]) // gzip CRC/ISIZE footer torn off
+	// Bit flips corrupt without truncating — they land in the deflate
+	// stream (CRC catch) or the magic.
+	flipped := bytes.Clone(v3)
+	flipped[len(flipped)/3] ^= 0x40
+	f.Add(flipped)
+	// Torn and misaligned bodies behind an intact gzip layer: the
 	// deflate CRC passes, so every cut lands on the binary reader's
 	// bounds checks — truncated length prefixes, section counts pointing
 	// past the end, and a trailing-garbage tail. reV3 rebuilds a valid
@@ -59,11 +50,7 @@ func FuzzDecodeBlob(f *testing.F) {
 		f.Fatal(err)
 	}
 	reV3 := func(b []byte) []byte {
-		deflated, err := compressBlobBytes(b)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return append(append([]byte(nil), v3Magic[:]...), deflated...)
+		return append(append([]byte(nil), v3Magic[:]...), gzipBytes(f, b)...)
 	}
 	raw := bytes.Clone(body.Bytes())
 	putDecodeBuf(body)
@@ -77,14 +64,8 @@ func FuzzDecodeBlob(f *testing.F) {
 	counts[len(counts)/2] ^= 0xFF // likely lands in a count or length
 	f.Add(reV3(counts))
 	// A high-ratio member: 64 KiB of padding compresses to ~100 bytes,
-	// steering the fuzzer toward the inflation rail in both compressed
-	// containers.
-	bombBody, err := compressBlobBytes(bytes.Repeat([]byte{' '}, 64<<10))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(bombBody)
-	f.Add(append(append([]byte(nil), v3Magic[:]...), bombBody...))
+	// steering the fuzzer toward the inflation rail.
+	f.Add(reV3(bytes.Repeat([]byte{' '}, 64<<10)))
 	f.Add([]byte(`{}`))
 	f.Add([]byte{})
 	f.Add([]byte{0x1f, 0x8b}) // bare gzip magic, no stream
@@ -109,50 +90,6 @@ func FuzzDecodeBlob(f *testing.F) {
 		// The digest-mismatch path must be just as total.
 		if res, err := ValidateBlob(data, "deadbeef"); err == nil && res == nil {
 			t.Fatal("digest-mismatch ValidateBlob: nil result with nil error")
-		}
-		// The canonical re-render paths share the sniff/inflate/walk
-		// machinery; they must be equally crash-free on hostile input
-		// (errors are fine).
-		_ = WriteCanonical(io.Discard, data)
-		_ = WriteCanonicalCompressed(io.Discard, data)
-	})
-}
-
-// FuzzF64UnmarshalJSON fuzzes the hand-rolled f64 element parser
-// against its encoder: any input it accepts must re-encode and
-// re-parse to the identical bit pattern (modulo NaN payloads, which
-// canonicalise to the single "NaN" spelling).
-func FuzzF64UnmarshalJSON(f *testing.F) {
-	for _, seed := range []string{
-		`1.5`, `-0`, `0`, `3.141592653589793`, `1e308`, `5e-324`,
-		`"NaN"`, `"+Inf"`, `"-Inf"`,
-		"\"\\u004EaN\"", // escaped spelling of "NaN", the alien-encoder slow path
-		`null`, `1e999`, `"Inf"`, `""`, `NaN`, `[1]`, `0x1p2`,
-	} {
-		f.Add([]byte(seed))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var v f64
-		if err := v.UnmarshalJSON(data); err != nil {
-			return // rejected input: nothing more to hold it to
-		}
-		out, err := v.MarshalJSON()
-		if err != nil {
-			t.Fatalf("accepted %q but re-encode failed: %v", data, err)
-		}
-		// What the encoder emits must also be valid generic JSON — this
-		// is what guards interop with foreign decoders.
-		if !json.Valid(out) {
-			t.Fatalf("%q encoded to invalid JSON %q", data, out)
-		}
-		var back f64
-		if err := back.UnmarshalJSON(out); err != nil {
-			t.Fatalf("round-trip parse of %q (from %q) failed: %v", out, data, err)
-		}
-		vb, bb := math.Float64bits(float64(v)), math.Float64bits(float64(back))
-		bothNaN := math.IsNaN(float64(v)) && math.IsNaN(float64(back))
-		if vb != bb && !bothNaN {
-			t.Fatalf("%q: round trip %x -> %q -> %x", data, vb, out, bb)
 		}
 	})
 }

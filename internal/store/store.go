@@ -1,9 +1,8 @@
 // Package store persists campaign results as content-addressed,
-// versioned blobs — a canonical JSON envelope contract carried in a
-// compact binary v3 container — so that repeated and incremental
-// sweeps are near-free: a
-// campaign whose inputs have not changed is read back from disk
-// instead of being re-simulated, at a fraction of its JSON size.
+// versioned blobs in a compact binary container (see codec.go), so that
+// repeated and incremental sweeps are near-free: a campaign whose
+// inputs have not changed is read back from disk instead of being
+// re-simulated.
 //
 // # Addressing
 //
@@ -34,10 +33,8 @@
 // stream, carries the wrong schema version, or does not match its
 // digest is treated as a miss — the stale blob is deleted and its
 // index entry tombstoned on the spot, and the campaign is recomputed
-// and rewritten — never as an error. Legacy v1 (uncompressed) and v2
-// (gzip JSON) blobs remain readable and are transparently re-written
-// in the v3 container the first time they are read; see codec.go and
-// codecv3.go for the container contract.
+// and rewritten — never as an error. The retired v1 (plain JSON) and v2
+// (gzip JSON) containers are invalid blobs like any other garbage.
 //
 // # Coordination
 //
@@ -71,17 +68,12 @@ import (
 	"golatest/internal/hwprofile"
 )
 
-// SchemaVersion is the blob schema version: the version of the
-// canonical envelope (the stored* types in codec.go) and of the
-// campaign semantics behind it. Bump it whenever those types change
-// shape or meaning, or when a campaign code change makes
-// previously-stored results non-reproducible; every blob written under
-// an older version then misses (both through the key digest and the
-// envelope check) and is recomputed. Container-level changes do NOT
-// bump it: the manifest journal (index-only metadata) and the v2
-// compressed blob container (the same canonical bytes, gzip-wrapped —
-// see codec.go) both left it at 1, which is precisely what keeps old
-// blobs readable across those transitions.
+// SchemaVersion is the blob schema version: the version of the blob
+// body layout (codec.go) and of the campaign semantics behind it. Bump
+// it whenever the body changes shape or meaning, or when a campaign
+// code change makes previously-stored results non-reproducible; every
+// blob written under an older version then misses (both through the key
+// digest and the body's schema check) and is recomputed.
 const SchemaVersion = 1
 
 // manifestName is the index snapshot; it is not a blob.
@@ -152,8 +144,8 @@ type ManifestEntry struct {
 	// Bytes is the on-disk (compressed) blob size, recorded at Put;
 	// GC's size bound sums it.
 	Bytes int64 `json:"bytes,omitempty"`
-	// RawBytes is the canonical (uncompressed) envelope size; with
-	// Bytes it yields the store's compression ratio for stats without
+	// RawBytes is the blob's body size before compression; with Bytes
+	// it yields the store's compression ratio for stats without
 	// touching a single blob.
 	RawBytes int64 `json:"raw_bytes,omitempty"`
 	// AccessUnixNs is the LRU clock: advanced by Put and by every Get
@@ -263,56 +255,17 @@ func (s *Store) Has(k Key) bool {
 }
 
 // Get returns the stored campaign for the key, or (nil, false) on any
-// kind of miss: no blob, unparseable blob, broken compressed stream,
-// schema mismatch, or digest mismatch. Invalid blobs are never fatal —
-// the stale blob is deleted and its index entry tombstoned immediately
-// (so Index and Len never report a key that cannot be read), and the
-// caller recomputes and Puts. A hit advances the entry's LRU clock for
-// GC. A hit on a legacy v1 (plain JSON) or v2 (gzip JSON) blob
-// additionally heals it to the v3 container on the spot, so one warm
-// pass migrates a store.
+// kind of miss: no blob, an invalid blob (see GetValidated), or a
+// reserved digest. Invalid blobs are never fatal — the stale blob is
+// deleted and its index entry tombstoned immediately (so Index and Len
+// never report a key that cannot be read), and the caller recomputes
+// and Puts. A hit advances the entry's LRU clock for GC.
 func (s *Store) Get(k Key) (*core.Result, bool) {
-	data, err := os.ReadFile(filepath.Join(s.dir, k.blobName()))
-	if err != nil {
-		s.misses.Add(1)
+	vb, ok := s.GetValidated(k.Digest)
+	if !ok {
 		return nil, false
 	}
-	b, rawN, cont, err := parseBlob(data, k.Digest)
-	if err != nil {
-		s.corrupt.Add(1)
-		s.misses.Add(1)
-		s.healCorrupt(k)
-		return nil, false
-	}
-	res := decodeResult(b.Result)
-	size := int64(len(data))
-	if cont != ContainerV3 {
-		if _, n, healed := s.healLegacy(k, res); healed {
-			size = n
-		}
-	}
-	s.hits.Add(1)
-	s.touch(k, size, rawN)
-	return res, true
-}
-
-// healLegacy re-writes a validated legacy (v1 or v2) blob in the v3
-// container, re-encoded from the result the validating parse already
-// decoded — the transparent migration path, and never a second parse.
-// Best-effort: a store that cannot be written (read-only snapshot,
-// full disk) keeps serving the legacy bytes, and the next read
-// retries. Concurrent healers and fresh Puts of the same key write
-// identical bytes (deterministic v3 encoding), so the rename race is
-// benign.
-func (s *Store) healLegacy(k Key, res *core.Result) (v3Bytes []byte, size int64, ok bool) {
-	data, err := EncodeBlobV3(k, res)
-	if err != nil {
-		return nil, 0, false
-	}
-	if err := s.writeAtomic(k.blobName(), data); err != nil {
-		return data, 0, false
-	}
-	return data, int64(len(data)), true
+	return vb.Result(), true
 }
 
 // reservedDigest reports a digest whose blob filename would collide
@@ -321,17 +274,13 @@ func (s *Store) healLegacy(k Key, res *core.Result) (v3Bytes []byte, size int64,
 // — or, via the corrupt-blob healing path, delete — manifest.json.
 func reservedDigest(digest string) bool { return digest+".json" == manifestName }
 
-// GetRaw returns the validated raw container bytes of the blob stored
-// under digest — the network daemon's read path: a v3 blob is shipped
-// verbatim (no decompress/recompress, no decode/re-encode round trip
-// on the wire), while the validation, traffic counters, LRU touch, and
-// corrupt-blob healing all match Get. A legacy v1/v2 blob is healed to
-// v3 first and the v3 bytes served, so the wire carries the compact
-// container either way. The touch indexes under the profile/instance
-// recorded in the blob envelope, so a served blob is fully described
-// in the index even when this handle never saw its Put. Callers that
-// also want the decoded result or the envelope identity should use
-// GetValidated, which this wraps.
+// GetRaw returns the validated bytes of the blob stored under digest —
+// the network daemon's read path: the disk bytes are shipped verbatim
+// (no decompress/recompress, no decode/re-encode round trip on the
+// wire), while the validation, traffic counters, LRU touch, and
+// corrupt-blob healing all match Get. Callers that also want the
+// decoded result or the envelope identity should use GetValidated,
+// which this wraps.
 func (s *Store) GetRaw(digest string) ([]byte, bool) {
 	vb, ok := s.GetValidated(digest)
 	if !ok {
@@ -340,16 +289,14 @@ func (s *Store) GetRaw(digest string) ([]byte, bool) {
 	return vb.Bytes(), true
 }
 
-// PutRaw stores pre-encoded blob container bytes under digest — the
-// write path for callers holding bytes of unproven provenance. The
-// bytes are validated first (container sniff, envelope or binary-body
-// parse, gzip integrity, schema, digest match; failures wrap
-// ErrInvalidBlob), so a caller can never plant a blob Get would
-// reject, then handed to PutValidated: v3 bytes land verbatim — the
+// PutRaw stores pre-encoded blob bytes under digest — the write path
+// for callers holding bytes of unproven provenance. The bytes are
+// validated first (magic, gzip integrity, body parse, schema, digest
+// match; failures wrap ErrInvalidBlob), so a caller can never plant a
+// blob Get would reject, then land verbatim through PutValidated — the
 // raw passthrough that makes a remote Put → remote Get cycle copy the
-// container end to end — while legacy v1/v2 bytes are re-containered
-// to v3 on the way down. Callers that already hold a ValidatedBlob
-// should call PutValidated directly and skip the re-parse.
+// blob end to end. Callers that already hold a ValidatedBlob should
+// call PutValidated directly and skip the re-parse.
 func (s *Store) PutRaw(digest string, data []byte) error {
 	vb, err := ValidateBlobBytes(data, digest)
 	if err != nil {
@@ -373,10 +320,10 @@ func (s *Store) healCorrupt(k Key) {
 
 // touch advances the key's LRU clock, indexing the blob on the fly if
 // this handle had no entry for it (e.g. a peer's write this handle has
-// not folded yet). A size change — a v1→v2 heal just rewrote the blob,
-// or the recorded sizes were stale — is journaled as a full upsert
-// rather than a bare touch, so the durable index carries the new sizes
-// across restarts (opTouch records only the access clock).
+// not folded yet). A size change — the recorded sizes were stale — is
+// journaled as a full upsert rather than a bare touch, so the durable
+// index carries the new sizes across restarts (opTouch records only
+// the access clock).
 func (s *Store) touch(k Key, size, rawSize int64) {
 	now := time.Now().UnixNano()
 	s.mu.Lock()
@@ -398,14 +345,13 @@ func (s *Store) touch(k Key, size, rawSize int64) {
 	s.maybeCompactLocked()
 }
 
-// Put stores the campaign under the key, atomically: the v3 encoding
+// Put stores the campaign under the key, atomically: the encoding
 // flows through pooled scratch and a pooled gzip writer straight into
 // a temporary file that is renamed into place, so concurrent readers
-// see either the old blob or the new one, never a torn write, and
-// neither the canonical bytes nor the container are ever materialised
-// in memory (the canonical form exists only as a counting render that
-// sizes RawBytes). The index update is one O(1) journal append
-// regardless of store size.
+// see either the old blob or the new one, never a torn write, and the
+// blob is never materialised in memory. A result the format refuses
+// (a non-finite plain float) writes nothing. The index update is one
+// O(1) journal append regardless of store size.
 func (s *Store) Put(k Key, res *core.Result) error {
 	if res == nil {
 		return fmt.Errorf("store: nil result for %s", k)
@@ -415,13 +361,13 @@ func (s *Store) Put(k Key, res *core.Result) error {
 		cw := &countingWriter{w: w}
 		n, err := encodeBlobV3To(cw, k, res)
 		size, rawN = cw.n, n
-		if err == nil && rawN > maxCanonicalBytes {
+		if err == nil && rawN > maxBodyBytes {
 			// What Put writes, Get must be able to read: past the
 			// decode rail every Get would classify the blob corrupt and
 			// delete it — a silent recompute/delete loop. Refuse here
 			// instead (the staging file is discarded, nothing lands).
-			err = fmt.Errorf("store: %s: canonical size %d exceeds the %d-byte decode bound",
-				k, rawN, maxCanonicalBytes)
+			err = fmt.Errorf("store: %s: body size %d exceeds the %d-byte decode bound",
+				k, rawN, maxBodyBytes)
 		}
 		return err
 	})
@@ -505,7 +451,7 @@ func (s *Store) writeAtomicStream(name string, fill func(io.Writer) error) error
 }
 
 // atomicWrite stages data next to dst and renames it into place.
-// Shared by snapshot writes, lease renewal, and the v1→v2 blob heal.
+// Shared by snapshot writes, lease renewal, and PutValidated.
 func atomicWrite(dst string, data []byte) error {
 	return atomicWriteStream(dst, func(w io.Writer) error {
 		_, err := w.Write(data)
@@ -576,7 +522,7 @@ func (s *Store) loadSnapshotLocked() (absent bool, err error) {
 }
 
 // rebuildManifestLocked recreates the index by reading every blob
-// envelope in the directory — the blobs are the ground truth the index
+// in the directory — the blobs are the ground truth the index
 // merely accelerates. Blobs that do not parse are skipped (they will
 // miss and be rewritten on their next Get/Put cycle). The journal is
 // discarded: whatever it said is superseded by the scan.
@@ -596,24 +542,22 @@ func (s *Store) rebuildManifestLocked() error {
 		if err != nil {
 			continue
 		}
-		// Either container format is a citizen of the scan: legacy v1
-		// blobs index like v2 ones and migrate lazily on their next Get.
-		b, rawN, _, err := parseBlob(data, strings.TrimSuffix(name, ".json"))
+		k, _, rawN, err := parseBlob(data, strings.TrimSuffix(name, ".json"))
 		if err != nil {
 			continue
 		}
 		e := ManifestEntry{
-			Digest:   b.Digest,
-			Profile:  b.Profile,
-			Instance: b.Instance,
-			Schema:   b.Schema,
+			Digest:   k.Digest,
+			Profile:  k.Profile,
+			Instance: k.Instance,
+			Schema:   SchemaVersion,
 			Bytes:    int64(len(data)),
 			RawBytes: rawN,
 		}
 		if fi, err := de.Info(); err == nil {
 			e.AccessUnixNs = fi.ModTime().UnixNano()
 		}
-		s.manifest[b.Digest] = e
+		s.manifest[k.Digest] = e
 	}
 	if s.journal != nil {
 		s.journal.Close()

@@ -153,6 +153,33 @@ func TestProfileKeyUsesDeviceSeed(t *testing.T) {
 	}
 }
 
+// TestIndexRawBytesMatchesGetValidated: the RawBytes Put indexes (the
+// encoder's count) is the body size a later read measures.
+func TestIndexRawBytesMatchesGetValidated(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := mustKey(t, 0, 42)
+	if err := s.Put(k, testResult()); err != nil {
+		t.Fatal(err)
+	}
+	put := s.Index()[0]
+	vb, ok := s.GetValidated(k.Digest)
+	if !ok {
+		t.Fatal("GetValidated missed a just-Put key")
+	}
+	if put.RawBytes <= 0 || put.RawBytes != vb.RawBytes() {
+		t.Fatalf("indexed RawBytes = %d, GetValidated reports %d", put.RawBytes, vb.RawBytes())
+	}
+	if put.Bytes != int64(len(vb.Bytes())) {
+		t.Fatalf("indexed Bytes = %d, blob is %d bytes", put.Bytes, len(vb.Bytes()))
+	}
+	if e := s.Index()[0]; e.RawBytes != put.RawBytes || e.Bytes != put.Bytes {
+		t.Fatalf("the read resized the entry: %+v after %+v", e, put)
+	}
+}
+
 // TestRoundTripExact verifies that a stored blob reproduces the result
 // bit for bit: decode(encode(res)) re-encodes to identical bytes, and
 // the non-finite floats survive.
@@ -174,32 +201,16 @@ func TestRoundTripExact(t *testing.T) {
 		t.Fatal("Get missed a just-Put key")
 	}
 
-	enc1, err := EncodeBlob(k, res)
+	enc1, err := EncodeBlobV3(k, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc2, err := EncodeBlob(k, got)
+	enc2, err := EncodeBlobV3(k, got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc1, enc2) {
 		t.Fatal("round-tripped result re-encodes differently")
-	}
-	// The compressed container round-trips the same canonical bytes and
-	// is itself deterministic.
-	comp1, err := EncodeBlobCompressed(k, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp2, err := EncodeBlobCompressed(k, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(comp1, comp2) {
-		t.Fatal("round-tripped result re-compresses differently")
-	}
-	if !IsGzipBlob(comp1) || IsGzipBlob(enc1) {
-		t.Fatal("container sniffing misclassifies the two formats")
 	}
 
 	if got.DeviceName != res.DeviceName || got.CaptureHintNs != res.CaptureHintNs {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -14,7 +13,7 @@ import (
 // constructors are the digest-checking parse paths (ValidateBlobBytes
 // here, Store.GetValidated on the read side), so holding one is a
 // type-level guarantee that the bytes inside have already cleared the
-// full container/envelope/schema/digest validation — which is what
+// full container/body/schema/digest validation — which is what
 // lets Store.PutValidated write them to disk verbatim, with no second
 // decode. The network client validates a wire body exactly once and
 // hands the same proof to its local tier; the compiler, not a
@@ -26,97 +25,64 @@ import (
 // buffer. It is immutable by convention — nothing may mutate data or
 // the decoded result after construction.
 type ValidatedBlob struct {
-	digest    string
-	profile   string
-	instance  int
-	data      []byte
-	rawBytes  int64
-	container Container
-	res       *core.Result
+	key      Key
+	data     []byte
+	rawBytes int64
+	res      *core.Result
 }
 
-// ValidateBlobBytes parses and validates raw blob bytes — any
-// container — against the digest they claim and returns the
-// proof-carrying blob: the validated bytes plus the decoded result,
-// from one parse. It is the constructor every storing path funnels
-// through: the daemon's PUT handler, the client's response validation,
-// the local-tier heal, and the pending-journal reconciler.
+// ValidateBlobBytes parses and validates raw blob bytes against the
+// digest they claim and returns the proof-carrying blob: the validated
+// bytes plus the decoded result, from one parse. It is the constructor
+// every storing path funnels through: the daemon's PUT handler, the
+// client's response validation, and the pending-journal reconciler.
 func ValidateBlobBytes(data []byte, digest string) (*ValidatedBlob, error) {
-	b, rawBytes, cont, err := parseBlob(data, digest)
+	k, res, rawBytes, err := parseBlob(data, digest)
 	if err != nil {
 		return nil, err
 	}
-	return &ValidatedBlob{
-		digest:    digest,
-		profile:   b.Profile,
-		instance:  b.Instance,
-		data:      data,
-		rawBytes:  rawBytes,
-		container: cont,
-		res:       decodeResult(b.Result),
-	}, nil
+	return &ValidatedBlob{key: k, data: data, rawBytes: rawBytes, res: res}, nil
 }
 
 // Digest returns the digest the bytes were validated against.
-func (vb *ValidatedBlob) Digest() string { return vb.digest }
+func (vb *ValidatedBlob) Digest() string { return vb.key.Digest }
 
 // Key returns the content address recorded in the envelope.
-func (vb *ValidatedBlob) Key() Key {
-	return Key{Digest: vb.digest, Profile: vb.profile, Instance: vb.instance}
-}
+func (vb *ValidatedBlob) Key() Key { return vb.key }
 
-// Bytes returns the validated container bytes. They alias the slice
-// the blob was constructed over; treat them as read-only and gone once
-// the constructing caller returns.
+// Bytes returns the validated blob bytes. They alias the slice the
+// blob was constructed over; treat them as read-only and gone once the
+// constructing caller returns.
 func (vb *ValidatedBlob) Bytes() []byte { return vb.data }
 
-// RawBytes returns the canonical (uncompressed envelope) size.
+// RawBytes returns the body size: the blob's length before
+// compression.
 func (vb *ValidatedBlob) RawBytes() int64 { return vb.rawBytes }
-
-// Container returns the container format the bytes arrived in.
-func (vb *ValidatedBlob) Container() Container { return vb.container }
 
 // Result returns the campaign result decoded by the validating parse.
 // Callers must not mutate it if the blob will still be persisted.
 func (vb *ValidatedBlob) Result() *core.Result { return vb.res }
 
-// PutValidated persists an already-validated blob: v3 bytes land on
-// disk verbatim — the zero-extra-decode path wire bytes take into the
-// local tier — while legacy v1/v2 bytes are re-containered to v3 from
-// the result the validating parse already decoded (no second parse).
-// The atomic rename and O(1) journal append match Put.
+// PutValidated persists an already-validated blob verbatim — the
+// zero-extra-decode path wire bytes take into the local tier. The
+// atomic rename and O(1) journal append match Put.
 func (s *Store) PutValidated(vb *ValidatedBlob) error {
-	if reservedDigest(vb.digest) {
-		return fmt.Errorf("store: %w: digest %q names the index snapshot", ErrInvalidBlob, vb.digest)
+	if reservedDigest(vb.key.Digest) {
+		return fmt.Errorf("store: %w: digest %q names the index snapshot", ErrInvalidBlob, vb.key.Digest)
 	}
-	size := int64(len(vb.data))
-	if vb.container == ContainerV3 {
-		if err := s.writeAtomic(vb.digest+".json", vb.data); err != nil {
-			return err
-		}
-	} else {
-		size = 0
-		err := s.writeAtomicStream(vb.digest+".json", func(w io.Writer) error {
-			cw := &countingWriter{w: w}
-			_, err := encodeBlobV3To(cw, vb.Key(), vb.res)
-			size = cw.n
-			return err
-		})
-		if err != nil {
-			return err
-		}
+	if err := s.writeAtomic(vb.key.blobName(), vb.data); err != nil {
+		return err
 	}
 	s.puts.Add(1)
-	return s.recordPut(vb.Key(), size, vb.rawBytes)
+	return s.recordPut(vb.key, int64(len(vb.data)), vb.rawBytes)
 }
 
 // GetValidated returns the proof-carrying blob stored under digest, or
-// (nil, false) on any kind of miss — the read-side constructor of
-// ValidatedBlob, sharing Get's validation, counters, LRU touch,
-// corrupt-blob healing, and legacy-container forward-heal. The
-// returned bytes are always the v3 container (healed in memory even
-// when the disk write failed), so a serving layer can pass them to a
-// v3-aware peer verbatim.
+// (nil, false) on any kind of miss — the store's one read path, behind
+// Get and GetRaw alike. A blob that does not validate is deleted and
+// its index entry tombstoned on the spot, and the miss counts as
+// Corrupt. A hit advances the entry's LRU clock, indexing the blob
+// under its envelope identity if this handle had not seen it.
 func (s *Store) GetValidated(digest string) (*ValidatedBlob, bool) {
 	if reservedDigest(digest) {
 		// A plain miss, pointedly without healing: the "corrupt blob"
@@ -129,38 +95,14 @@ func (s *Store) GetValidated(digest string) (*ValidatedBlob, bool) {
 		s.misses.Add(1)
 		return nil, false
 	}
-	b, rawN, cont, err := parseBlob(data, digest)
+	vb, err := ValidateBlobBytes(data, digest)
 	if err != nil {
 		s.corrupt.Add(1)
 		s.misses.Add(1)
 		s.healCorrupt(Key{Digest: digest})
 		return nil, false
 	}
-	vb := &ValidatedBlob{
-		digest:    digest,
-		profile:   b.Profile,
-		instance:  b.Instance,
-		data:      data,
-		rawBytes:  rawN,
-		container: cont,
-		res:       decodeResult(b.Result),
-	}
-	diskSize := int64(len(data))
-	if cont != ContainerV3 {
-		// Serve the v3 container even when the disk heal failed — the
-		// re-encoded bytes in hand are valid either way. The index
-		// records what is actually on disk, so a failed heal keeps the
-		// legacy size (watermark GC must not undercount a store it
-		// cannot shrink).
-		if v3, healedSize, healed := s.healLegacy(vb.Key(), vb.res); v3 != nil {
-			vb.data = v3
-			vb.container = ContainerV3
-			if healed {
-				diskSize = healedSize
-			}
-		}
-	}
 	s.hits.Add(1)
-	s.touch(vb.Key(), diskSize, rawN)
+	s.touch(vb.key, int64(len(data)), vb.rawBytes)
 	return vb, true
 }

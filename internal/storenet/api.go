@@ -53,39 +53,29 @@
 // /v1 → /v2 bump: an open daemon's wire behavior is unchanged, and an
 // authed daemon only adds the standard challenge statuses.
 //
-// The blob *entity* is the canonical envelope store.EncodeBlob
-// produces; the bytes on the wire are negotiated. The binary v3
-// container is not a content coding of that entity, so v3-aware
-// clients declare it with X-Blob-Accept: v3 alongside standard
-// Accept-Encoding (the server sets Vary on both):
+// A blob travels in one format, the v3 container store.EncodeBlobV3
+// produces (magic ‖ gzip(binary body)), in both directions and with no
+// negotiation:
 //
-//	client declares                disk blob    response body
-//	X-Blob-Accept: v3              v3           the disk bytes verbatim, application/octet-stream
-//	Accept-Encoding: gzip, no v3   v3           gzip(canonical JSON), Content-Encoding: gzip
-//	identity only                  v3           canonical JSON, rendered on the fly
-//	any                            legacy v1/v2 per the declaration above (store heals to v3)
+//	request                 response
+//	GET                     the disk bytes verbatim, application/octet-stream,
+//	                        whatever Accept-Encoding says
+//	PUT v3 blob             204; stored verbatim after one validating parse
+//	PUT anything else       400 (store.ErrInvalidBlob), including the
+//	                        retired v1 (JSON) and v2 (gzip JSON) containers
 //
-//	PUT body                        stored as
-//	v3 container (sniffed)          verbatim — raw passthrough
-//	v2 container / canonical JSON   validated once, re-containered to v3
-//
-// Both directions sniff the container magic rather than trusting
-// headers, so a proxy that strips Content-Encoding cannot corrupt a
-// transfer — validation (store.ValidateBlobBytes) accepts any
-// container and rejects everything else. Because identity and gzip
-// JSON remain fully supported, neither compression nor the v3 codec
-// needed a /v1 → /v2 API bump: pre-v3 clients never send X-Blob-Accept
-// and receive the gzip-JSON or identity bytes they always did.
+// Nothing rides Content-Encoding: the gzip layer is part of the blob,
+// not a transfer coding. A proxy that adds one is undone by the
+// client's HTTP transport, and a body damaged in transit fails
+// validation.
 //
 // A blob's content is a deterministic function of its digest (equal
-// key ⇒ equal result ⇒ equal canonical bytes), so blobs are immutable
-// per digest and the digest doubles as a strong ETag over the entity —
-// the content coding does not enter the ETag, and a body that ever
-// validated for a digest never needs re-fetching. Note the digest is
-// the content address of the campaign's *inputs* (schema, profile,
+// key ⇒ equal result ⇒ equal bytes), so blobs are immutable per digest
+// and the digest doubles as a strong ETag. Note the digest is the
+// content address of the campaign's *inputs* (schema, profile,
 // instance, seed, config — see internal/store), not a hash of the blob
-// bytes; validation is therefore envelope validation
-// (store.ValidateBlob), not a byte-hash comparison.
+// bytes; validation is therefore a full parse (store.ValidateBlob),
+// not a byte-hash comparison.
 //
 // Every response body is validated by the client before use: a
 // truncated transfer, a tampered payload, or a digest/schema mismatch
@@ -109,7 +99,7 @@
 // Bump the path prefix (v1 → v2) when the wire contract changes
 // incompatibly: an endpoint's method/status semantics change, a
 // request/response field changes meaning, or blob bytes stop being the
-// store's canonical encoding. Adding endpoints or optional response
+// store's blob encoding. Adding endpoints or optional response
 // fields is compatible and needs no bump. store.SchemaVersion is
 // independent and travels inside blobs and index/stats responses: a
 // schema bump invalidates stored results on every backend at once,
@@ -188,9 +178,9 @@ type indexResponse struct {
 }
 
 // Stats summarises the daemon's store. Bytes is on-disk
-// (compressed) size; RawBytes is the canonical (uncompressed) total
-// the index has recorded, and CompressionRatio their quotient (0 until
-// both are known). Leases is the lease churn this daemon instance has
+// (compressed) size; RawBytes is the total body size (each blob before
+// compression) the index has recorded, and CompressionRatio their
+// quotient (0 until both are known). Leases is the lease churn this daemon instance has
 // arbitrated. LatencyP50Ns/LatencyP99Ns are request-latency quantile
 // estimates across all endpoints since start (histogram bucket upper
 // bounds, biased high by at most one bucket; 0 until any request has

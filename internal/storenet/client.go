@@ -388,7 +388,7 @@ func (c *Client) jitter(max time.Duration) time.Duration {
 // cancel must run once the attempt's response is fully consumed —
 // success paths hand it to cancelBody (fired on Body.Close), failure
 // paths call it directly.
-func (c *Client) newAttempt(method, u string, body []byte, rawEncoding bool, traceparent string) (*http.Request, context.CancelFunc, error) {
+func (c *Client) newAttempt(method, u string, body []byte, traceparent string) (*http.Request, context.CancelFunc, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.reqTimeout)
 	var rd io.Reader
 	if body != nil {
@@ -405,23 +405,8 @@ func (c *Client) newAttempt(method, u string, body []byte, rawEncoding bool, tra
 	if traceparent != "" {
 		req.Header.Set("traceparent", traceparent)
 	}
-	if rawEncoding {
-		req.Header.Set("Accept-Encoding", "gzip")
-		// Declare the binary container: a v3-aware daemon answers with
-		// its disk bytes verbatim (no Content-Encoding), an older one
-		// ignores the header and serves the gzip view negotiated above.
-		req.Header.Set("X-Blob-Accept", "v3")
-	}
 	if body != nil {
-		switch store.ContainerOf(body) {
-		case store.ContainerV3:
-			req.Header.Set("Content-Type", "application/octet-stream")
-		case store.ContainerV2:
-			req.Header.Set("Content-Type", "application/json")
-			req.Header.Set("Content-Encoding", "gzip")
-		default:
-			req.Header.Set("Content-Type", "application/json")
-		}
+		req.Header.Set("Content-Type", "application/octet-stream") // a blob
 	}
 	return req, cancel, nil
 }
@@ -470,16 +455,7 @@ func (c *Client) recordAttempt(ok bool, cause error) {
 // edges are recorded on it as events. parent overrides the propagated
 // context when span is nil — the reconcile replay path uses it to
 // carry a journaled marker's original trace even when tracing is off.
-//
-// rawEncoding (blob requests only) sets Accept-Encoding explicitly,
-// which (per net/http) disables the transport's transparent
-// decompression: the blob body arrives as the raw compressed container
-// the daemon has on disk, and the client inflates it itself through
-// the store codec's pooled readers — one decompression, on our terms.
-// Control-plane requests leave the header to the transport, so their
-// JSON survives any gzip a reverse proxy in front of the daemon may
-// add (the transport inflates it transparently).
-func (c *Client) doIdempotent(method, u string, body []byte, rawEncoding bool, span *obs.Span, parent obs.SpanContext) (*http.Response, error) {
+func (c *Client) doIdempotent(method, u string, body []byte, span *obs.Span, parent obs.SpanContext) (*http.Response, error) {
 	traceparent := ""
 	if span != nil {
 		traceparent = span.Context().Traceparent()
@@ -501,7 +477,7 @@ func (c *Client) doIdempotent(method, u string, body []byte, rawEncoding bool, s
 			span.Event("breaker.fastfail")
 			return nil, fmt.Errorf("storenet: %s %s: %w", method, u, ErrUnavailable)
 		}
-		req, cancel, err := c.newAttempt(method, u, body, rawEncoding, traceparent)
+		req, cancel, err := c.newAttempt(method, u, body, traceparent)
 		if err != nil {
 			return nil, err
 		}
@@ -654,12 +630,10 @@ func (c *Client) readBodyInto(buf *bytes.Buffer, resp *http.Response, limit int6
 }
 
 // Get resolves a key: local tier first, then the daemon. The response
-// body is the blob container (the v3 disk bytes verbatim from a
-// v3-aware daemon, negotiated via X-Blob-Accept; the gzip view from an
-// older one), read into a pooled buffer and validated exactly once by
-// store.ValidateBlobBytes — the canonical JSON is never materialised,
-// and the resulting ValidatedBlob carries both the decoded result and
-// the proof the bytes cleared validation. A remote hit heals the local
+// body is the daemon's disk bytes verbatim, read into a pooled buffer
+// and validated exactly once by store.ValidateBlobBytes; the resulting
+// ValidatedBlob carries both the decoded result and the proof the
+// bytes cleared validation. A remote hit heals the local
 // tier by handing that proof to PutValidated, which writes the wire
 // bytes to disk verbatim with no second decode; an invalid or
 // truncated remote body is a miss (Corrupt counter), exactly like a
@@ -673,7 +647,7 @@ func (c *Client) Get(k store.Key) (*core.Result, bool) {
 	}
 	span := c.startSpan("storenet.get")
 	defer span.End()
-	resp, err := c.doIdempotent(http.MethodGet, c.blobURL(k.Digest), nil, true, span, obs.SpanContext{})
+	resp, err := c.doIdempotent(http.MethodGet, c.blobURL(k.Digest), nil, span, obs.SpanContext{})
 	if err != nil {
 		if errors.Is(err, ErrUnavailable) {
 			// Degraded read: the local tier (checked above) was the whole
@@ -740,7 +714,7 @@ func (c *Client) GetValidated(digest string) (*store.ValidatedBlob, bool) {
 	}
 	span := c.startSpan("storenet.get")
 	defer span.End()
-	resp, err := c.doIdempotent(http.MethodGet, c.blobURL(digest), nil, true, span, obs.SpanContext{})
+	resp, err := c.doIdempotent(http.MethodGet, c.blobURL(digest), nil, span, obs.SpanContext{})
 	if err != nil {
 		if errors.Is(err, ErrUnavailable) {
 			c.degraded.Add(1)
@@ -789,11 +763,11 @@ func (c *Client) GetValidated(digest string) (*store.ValidatedBlob, bool) {
 // would admit its half-open probe.
 func (c *Client) Healthy() bool { return !c.br.isOpen() }
 
-// Put encodes once — straight into the v3 binary container — and
-// writes through: daemon first (authoritative — its failure fails the
-// Put), then the local tier (best-effort, the same bytes verbatim).
-// The wire carries the v3 bytes as application/octet-stream; the
-// daemon stores them as-is after validation.
+// Put encodes once — straight into the blob container — and writes
+// through: daemon first (authoritative — its failure fails the Put),
+// then the local tier (best-effort, the same bytes verbatim). The wire
+// carries the blob as application/octet-stream; the daemon stores it
+// as-is after validation.
 //
 // When the daemon is unreachable (breaker open, or the retry budget
 // exhausted on transport/5xx failures) and a local tier exists, the Put
@@ -809,7 +783,7 @@ func (c *Client) Put(k store.Key, res *core.Result) error {
 	if err != nil {
 		return fmt.Errorf("storenet: encode %s: %w", k, err)
 	}
-	return c.putContainer(k, data, func() ([]byte, error) { return store.EncodeBlob(k, res) })
+	return c.putBlob(k, data)
 }
 
 // PutValidated implements store.ValidatedPutter: it uploads an
@@ -823,18 +797,17 @@ func (c *Client) PutValidated(vb *store.ValidatedBlob) error {
 	// The blob's bytes may alias a caller's scratch buffer; the journal
 	// and retry paths below persist or replay them synchronously within
 	// this call, so no copy is needed.
-	return c.putContainer(k, vb.Bytes(), func() ([]byte, error) { return store.EncodeBlob(k, vb.Result()) })
+	return c.putBlob(k, vb.Bytes())
 }
 
-// putContainer uploads one blob container under the key's digest, with
-// Put's full failure discipline: retries and breaker via doIdempotent,
-// journal deferral for infrastructure failures when a local tier
-// exists, terminal 401/403, and a one-shot identity fallback (fallback
-// encodes the canonical v1 bytes) for pre-v3 daemons answering 400.
-func (c *Client) putContainer(k store.Key, data []byte, fallback func() ([]byte, error)) error {
+// putBlob uploads one blob under the key's digest, with Put's full
+// failure discipline: retries and breaker via doIdempotent, journal
+// deferral for infrastructure failures when a local tier exists, and
+// terminal 401/403.
+func (c *Client) putBlob(k store.Key, data []byte) error {
 	span := c.startSpan("storenet.put")
 	defer span.End()
-	resp, err := c.doIdempotent(http.MethodPut, c.blobURL(k.Digest), data, true, span, obs.SpanContext{})
+	resp, err := c.doIdempotent(http.MethodPut, c.blobURL(k.Digest), data, span, obs.SpanContext{})
 	if err != nil {
 		// Only infrastructure failures (transport, 5xx, open breaker)
 		// defer; a rate-limit refusal is the daemon telling this tenant
@@ -851,32 +824,6 @@ func (c *Client) putContainer(k store.Key, data []byte, fallback func() ([]byte,
 		// credential. Never retried (the refusal is deterministic),
 		// never deferred (the journal replay would be refused too).
 		return fmt.Errorf("storenet: put %s: %s: %w", k, resp.Status, ErrAuth)
-	}
-	if resp.StatusCode == http.StatusBadRequest {
-		// A pre-v3 daemon cannot parse the binary container and answers
-		// 400; fall back to the canonical (identity) bytes once, which
-		// every daemon version accepts. A 400 for any other reason fails
-		// identically on the retry and surfaces below, naming both
-		// refusals.
-		firstStatus := resp.Status
-		plain, perr := fallback()
-		if perr != nil {
-			return fmt.Errorf("storenet: encode %s: %w", k, perr)
-		}
-		if resp, err = c.doIdempotent(http.MethodPut, c.blobURL(k.Digest), plain, true, span, obs.SpanContext{}); err != nil {
-			if c.cache != nil && !errors.Is(err, ErrRateLimited) {
-				// The daemon vanished between the refusal and the
-				// fallback; journal the v3 container — the local tier's
-				// native format — and let Reconcile sort it out.
-				return c.deferPut(k, data, err, span)
-			}
-			return fmt.Errorf("storenet: put %s: %w", k, err)
-		}
-		c.drain(resp)
-		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("storenet: put %s: %s (v3) then %s (identity fallback)",
-				k, firstStatus, resp.Status)
-		}
 	}
 	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("storenet: put %s: %s", k, resp.Status)
@@ -1082,7 +1029,7 @@ func (c *Client) Reconcile() (int, error) {
 		} else {
 			span = c.startSpan("storenet.reconcile.put")
 		}
-		resp, err := c.doIdempotent(http.MethodPut, c.blobURL(digest), data, true, span, origin)
+		resp, err := c.doIdempotent(http.MethodPut, c.blobURL(digest), data, span, origin)
 		if err != nil {
 			span.SetAttr("outcome", "error")
 			span.End()
@@ -1127,7 +1074,7 @@ func (c *Client) Has(k store.Key) bool {
 	}
 	span := c.startSpan("storenet.head")
 	defer span.End()
-	resp, err := c.doIdempotent(http.MethodHead, c.blobURL(k.Digest), nil, true, span, obs.SpanContext{})
+	resp, err := c.doIdempotent(http.MethodHead, c.blobURL(k.Digest), nil, span, obs.SpanContext{})
 	if err != nil {
 		return false
 	}
@@ -1140,7 +1087,7 @@ func (c *Client) Has(k store.Key) bool {
 func (c *Client) Index() []store.ManifestEntry {
 	span := c.startSpan("storenet.index")
 	defer span.End()
-	resp, err := c.doIdempotent(http.MethodGet, c.base+apiPrefix+"/index", nil, false, span, obs.SpanContext{})
+	resp, err := c.doIdempotent(http.MethodGet, c.base+apiPrefix+"/index", nil, span, obs.SpanContext{})
 	if err != nil {
 		return nil
 	}
@@ -1166,7 +1113,7 @@ func (c *Client) Stats() (Stats, error) {
 	var st Stats
 	span := c.startSpan("storenet.stats")
 	defer span.End()
-	resp, err := c.doIdempotent(http.MethodGet, c.base+apiPrefix+"/stats", nil, false, span, obs.SpanContext{})
+	resp, err := c.doIdempotent(http.MethodGet, c.base+apiPrefix+"/stats", nil, span, obs.SpanContext{})
 	if err != nil {
 		return st, err
 	}
@@ -1240,7 +1187,7 @@ func (c *Client) TryAcquire(digest, owner string, ttl time.Duration) (store.Leas
 func (c *Client) LeaseHolder(digest string) (string, bool) {
 	span := c.startSpan("storenet.lease.peek")
 	defer span.End()
-	resp, err := c.doIdempotent(http.MethodGet, c.leaseURL(digest, ""), nil, false, span, obs.SpanContext{})
+	resp, err := c.doIdempotent(http.MethodGet, c.leaseURL(digest, ""), nil, span, obs.SpanContext{})
 	if err != nil {
 		return "", false
 	}

@@ -2,6 +2,7 @@ package storenet
 
 import (
 	"bytes"
+	"compress/gzip"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -129,29 +130,26 @@ func TestClientCacheTier(t *testing.T) {
 func TestClientCorruptResponseIsMiss(t *testing.T) {
 	k := testKey(t, 0)
 	other := testKey(t, 1)
-	good, err := store.EncodeBlob(k, testResult(0))
+	good, err := store.EncodeBlobV3(k, testResult(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrongKeyBlob, err := store.EncodeBlob(other, testResult(1))
+	wrongKeyBlob, err := store.EncodeBlobV3(other, testResult(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tampering that breaks the envelope (here: the schema field) is
-	// caught by validation; note payload edits inside an intact envelope
-	// are invisible by design — the digest addresses the campaign's
-	// inputs, not a hash of the bytes — which is why the trust boundary
-	// is "only Put validated blobs", enforced by the server.
-	tampered := bytes.Replace(good, []byte(`"schema"`), []byte(`"scheme"`), 1)
-	// The compressed container has its own failure modes: a stream cut
-	// before the gzip footer (CRC never verified) and a bit flip inside
-	// the deflate stream.
-	compGood, err := store.EncodeBlobCompressed(k, testResult(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compFlipped := append([]byte(nil), compGood...)
-	compFlipped[len(compFlipped)/2] ^= 0x40
+	// Tampering that breaks the body (here: the schema field) inside an
+	// intact gzip layer is caught by validation; note payload edits that
+	// keep the body well-formed are invisible by design — the digest
+	// addresses the campaign's inputs, not a hash of the bytes — which is
+	// why the trust boundary is "only Put validated blobs", enforced by
+	// the server.
+	tampered := reframeBody(t, good, func(body []byte) { body[0] = 2 })
+	// The gzip layer has its own failure modes: a stream cut before the
+	// footer (CRC never verified) and a bit flip inside the deflate
+	// stream.
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x40
 
 	// mode selects the injected corruption; "ok" serves the real bytes.
 	var mode atomic.Value
@@ -168,9 +166,9 @@ func TestClientCorruptResponseIsMiss(t *testing.T) {
 		case "wrong-key":
 			_, _ = w.Write(wrongKeyBlob)
 		case "gzip-truncate":
-			_, _ = w.Write(compGood[:len(compGood)-4])
+			_, _ = w.Write(good[:len(good)-4])
 		case "gzip-bitflip":
-			_, _ = w.Write(compFlipped)
+			_, _ = w.Write(flipped)
 		default:
 			_, _ = w.Write(good)
 		}
@@ -337,53 +335,25 @@ func TestClientInteropWithLocalHandles(t *testing.T) {
 	}
 }
 
-// TestClientPutFallsBackToIdentityForLegacyDaemon: a pre-v3 daemon
-// rejects the binary container as unparseable (400); the client must
-// fall back to the canonical identity bytes once, so a rolling
-// upgrade that reaches workers before the store daemon keeps writing.
-func TestClientPutFallsBackToIdentityForLegacyDaemon(t *testing.T) {
-	st, err := store.Open(t.TempDir())
+// reframeBody inflates a blob's body, lets edit change it, and wraps it
+// back in a valid magic and gzip layer, so only the body is hostile.
+func reframeBody(t *testing.T, blob []byte, edit func(body []byte)) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(blob[4:]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := NewServer(st)
-	var v3Puts, identityPuts atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPut {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				t.Error(err)
-			}
-			if store.ContainerOf(body) != store.ContainerV1 {
-				// What an older daemon's decoder does with bytes it cannot
-				// parse as its native containers.
-				v3Puts.Add(1)
-				http.Error(w, "store: blob: invalid blob: invalid character '\\xb3'",
-					http.StatusBadRequest)
-				return
-			}
-			identityPuts.Add(1)
-			r2 := r.Clone(r.Context())
-			r2.Body = io.NopCloser(bytes.NewReader(body))
-			inner.ServeHTTP(w, r2)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	c := newClient(t, srv.URL, nil)
-	k := testKey(t, 0)
-	if err := c.Put(k, testResult(0)); err != nil {
-		t.Fatalf("Put did not fall back to identity bytes: %v", err)
+	body, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v3Puts.Load() != 1 || identityPuts.Load() != 1 {
-		t.Fatalf("puts: %d v3, %d identity; want one attempt each", v3Puts.Load(), identityPuts.Load())
+	edit(body)
+	var out bytes.Buffer
+	out.Write(blob[:4])
+	zw := gzip.NewWriter(&out)
+	zw.Write(body)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if res, ok := c.Get(k); !ok || res.DeviceName != "a100[0]" {
-		t.Fatalf("blob unreadable after fallback put: %+v ok=%v", res, ok)
-	}
-	// A genuinely invalid blob still fails: the fallback is one retry,
-	// not an error-masking loop — covered by the 400 the identity body
-	// earns from the real server in TestServerPutRejectsInvalidBlobs.
+	return out.Bytes()
 }

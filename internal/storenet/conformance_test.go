@@ -15,17 +15,16 @@ import (
 // runs against the production (auth-enabled) configuration, so the
 // middleware is proven contract-transparent, not just tested in
 // isolation.
-func conformanceServer(t *testing.T) (dir string, url string) {
+func conformanceServer(t *testing.T) (st *store.Store, url string) {
 	t.Helper()
-	dir = t.TempDir()
-	st, err := store.Open(dir)
+	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	auth := NewTokenSet().Grant("conf-token", ScopeAdmin, TokenLimits{})
 	hs := httptest.NewServer(NewServerWith(st, ServerOptions{Auth: auth}))
 	t.Cleanup(hs.Close)
-	return dir, hs.URL
+	return st, hs.URL
 }
 
 func corruptBlobFiles(t *testing.T, dirs ...string) func(digest string) {
@@ -40,9 +39,8 @@ func corruptBlobFiles(t *testing.T, dirs ...string) func(digest string) {
 	}
 }
 
-// plantBlobFile writes raw container bytes into the daemon's store
-// directory — the authoritative tier a legacy deployment's blobs
-// actually live in.
+// plantBlobFile writes raw bytes into the daemon's store directory —
+// the authoritative tier an old deployment's blobs actually live in.
 func plantBlobFile(t *testing.T, dir string) func(digest string, data []byte) {
 	return func(digest string, data []byte) {
 		t.Helper()
@@ -70,7 +68,7 @@ func readBlobFile(t *testing.T, dir string) func(digest string) []byte {
 // local directory.
 func TestBackendConformanceLoopbackClient(t *testing.T) {
 	conformancetest.Run(t, func(t *testing.T) conformancetest.Harness {
-		dir, url := conformanceServer(t)
+		remote, url := conformanceServer(t)
 		c, err := NewClient(url, ClientOptions{
 			Token:        "conf-token",
 			RetryBackoff: time.Millisecond,
@@ -79,10 +77,11 @@ func TestBackendConformanceLoopbackClient(t *testing.T) {
 			t.Fatal(err)
 		}
 		return conformancetest.Harness{
-			Backend:  c,
-			Corrupt:  corruptBlobFiles(t, dir),
-			Plant:    plantBlobFile(t, dir),
-			ReadBlob: readBlobFile(t, dir),
+			Backend:       c,
+			Corrupt:       corruptBlobFiles(t, remote.Dir()),
+			Plant:         plantBlobFile(t, remote.Dir()),
+			ReadBlob:      readBlobFile(t, remote.Dir()),
+			StoreCounters: remote.Counters,
 		}
 	})
 }
@@ -94,7 +93,7 @@ func TestBackendConformanceLoopbackClient(t *testing.T) {
 // when every copy is bad.
 func TestBackendConformanceTieredClient(t *testing.T) {
 	conformancetest.Run(t, func(t *testing.T) conformancetest.Harness {
-		remoteDir, url := conformanceServer(t)
+		remote, url := conformanceServer(t)
 		cache, err := store.Open(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
@@ -108,10 +107,11 @@ func TestBackendConformanceTieredClient(t *testing.T) {
 			t.Fatal(err)
 		}
 		return conformancetest.Harness{
-			Backend:  c,
-			Corrupt:  corruptBlobFiles(t, remoteDir, cache.Dir()),
-			Plant:    plantBlobFile(t, remoteDir),
-			ReadBlob: readBlobFile(t, remoteDir),
+			Backend:       c,
+			Corrupt:       corruptBlobFiles(t, remote.Dir(), cache.Dir()),
+			Plant:         plantBlobFile(t, remote.Dir()),
+			ReadBlob:      readBlobFile(t, remote.Dir()),
+			StoreCounters: remote.Counters,
 		}
 	})
 }

@@ -28,7 +28,7 @@ func corruptIn(t *testing.T, dirs ...string) func(digest string) {
 	}
 }
 
-// plantIn writes raw container bytes into the member directory the
+// plantIn writes raw bytes into the member directory the
 // resolve hook picks for the digest (its primary, or the first live
 // preferred member).
 func plantIn(t *testing.T, resolve func(digest string) string) func(digest string, data []byte) {
@@ -38,6 +38,22 @@ func plantIn(t *testing.T, resolve func(digest string) string) func(digest strin
 		if err := os.WriteFile(filepath.Join(dir, digest+".json"), data, 0o644); err != nil {
 			t.Fatalf("plant %s in %s: %v", digest, dir, err)
 		}
+	}
+}
+
+// sumCounters adds up the member stores' counters — where a planted
+// blob's Corrupt count lands, whichever member read it.
+func sumCounters(stores []*store.Store) func() store.Counters {
+	return func() store.Counters {
+		var total store.Counters
+		for _, st := range stores {
+			c := st.Counters()
+			total.Hits += c.Hits
+			total.Misses += c.Misses
+			total.Corrupt += c.Corrupt
+			total.Puts += c.Puts
+		}
+		return total
 	}
 }
 
@@ -57,6 +73,7 @@ func TestRouterConformanceLocalMembers(t *testing.T) {
 	conformancetest.Run(t, func(t *testing.T) conformancetest.Harness {
 		members := make([]store.Backend, 3)
 		dirs := make([]string, 3)
+		stores := make([]*store.Store, 3)
 		byLoc := map[string]string{}
 		for i := range members {
 			dir := t.TempDir()
@@ -66,6 +83,7 @@ func TestRouterConformanceLocalMembers(t *testing.T) {
 			}
 			members[i] = st
 			dirs[i] = dir
+			stores[i] = st
 			byLoc[st.Location()] = dir
 		}
 		r, err := router.New(members, router.Options{Replication: 2})
@@ -74,10 +92,11 @@ func TestRouterConformanceLocalMembers(t *testing.T) {
 		}
 		primaryDir := func(digest string) string { return byLoc[r.Replicas(digest)[0]] }
 		return conformancetest.Harness{
-			Backend:  r,
-			Corrupt:  corruptIn(t, dirs...),
-			Plant:    plantIn(t, primaryDir),
-			ReadBlob: readBlobIn(primaryDir),
+			Backend:       r,
+			Corrupt:       corruptIn(t, dirs...),
+			Plant:         plantIn(t, primaryDir),
+			ReadBlob:      readBlobIn(primaryDir),
+			StoreCounters: sumCounters(stores),
 		}
 	})
 }
@@ -89,6 +108,7 @@ func TestRouterConformanceDaemonMembers(t *testing.T) {
 	conformancetest.Run(t, func(t *testing.T) conformancetest.Harness {
 		members := make([]store.Backend, 3)
 		dirs := make([]string, 3)
+		stores := make([]*store.Store, 3)
 		byLoc := map[string]string{}
 		for i := range members {
 			dir := t.TempDir()
@@ -108,6 +128,7 @@ func TestRouterConformanceDaemonMembers(t *testing.T) {
 			}
 			members[i] = c
 			dirs[i] = dir
+			stores[i] = st
 			byLoc[c.Location()] = dir
 		}
 		r, err := router.New(members, router.Options{Replication: 2})
@@ -116,10 +137,11 @@ func TestRouterConformanceDaemonMembers(t *testing.T) {
 		}
 		primaryDir := func(digest string) string { return byLoc[r.Replicas(digest)[0]] }
 		return conformancetest.Harness{
-			Backend:  r,
-			Corrupt:  corruptIn(t, dirs...),
-			Plant:    plantIn(t, primaryDir),
-			ReadBlob: readBlobIn(primaryDir),
+			Backend:       r,
+			Corrupt:       corruptIn(t, dirs...),
+			Plant:         plantIn(t, primaryDir),
+			ReadBlob:      readBlobIn(primaryDir),
+			StoreCounters: sumCounters(stores),
 		}
 	})
 }
@@ -134,6 +156,7 @@ func TestRouterConformanceDeadMember(t *testing.T) {
 	conformancetest.Run(t, func(t *testing.T) conformancetest.Harness {
 		members := make([]store.Backend, 3)
 		dirs := make([]string, 3)
+		stores := make([]*store.Store, 3)
 		byLoc := map[string]string{}
 		var deadLoc string
 		for i := range members {
@@ -144,6 +167,7 @@ func TestRouterConformanceDeadMember(t *testing.T) {
 			}
 			members[i] = st
 			dirs[i] = dir
+			stores[i] = st
 			byLoc[st.Location()] = dir
 			if i == 2 {
 				f := faults.WrapBackend(st, faults.Plan{})
@@ -169,10 +193,11 @@ func TestRouterConformanceDeadMember(t *testing.T) {
 			return ""
 		}
 		return conformancetest.Harness{
-			Backend:  r,
-			Corrupt:  corruptIn(t, dirs...),
-			Plant:    plantIn(t, liveDir),
-			ReadBlob: readBlobIn(liveDir),
+			Backend:       r,
+			Corrupt:       corruptIn(t, dirs...),
+			Plant:         plantIn(t, liveDir),
+			ReadBlob:      readBlobIn(liveDir),
+			StoreCounters: sumCounters(stores),
 		}
 	})
 }

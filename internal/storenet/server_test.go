@@ -15,6 +15,7 @@ import (
 
 	"golatest/internal/core"
 	"golatest/internal/store"
+	"golatest/internal/store/conformancetest"
 )
 
 // testKey derives a real content address so digest validation on both
@@ -54,7 +55,7 @@ func newDaemon(t *testing.T) (*store.Store, *httptest.Server) {
 func TestServerBlobRoundTrip(t *testing.T) {
 	st, srv := newDaemon(t)
 	k := testKey(t, 0)
-	blob, err := store.EncodeBlob(k, testResult(0))
+	blob, err := store.EncodeBlobV3(k, testResult(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,19 +131,22 @@ func TestServerBlobRoundTrip(t *testing.T) {
 func TestServerPutRejectsInvalidBlobs(t *testing.T) {
 	st, srv := newDaemon(t)
 	k := testKey(t, 0)
-	good, err := store.EncodeBlob(k, testResult(0))
+	good, err := store.EncodeBlobV3(k, testResult(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	otherKey := testKey(t, 1)
+	legacy := conformancetest.LegacyBlobs(t, k)
 
 	cases := map[string]struct {
 		digest string
 		body   []byte
 	}{
-		"garbage":         {k.Digest, []byte("not json")},
+		"garbage":         {k.Digest, []byte("not a blob")},
 		"digest mismatch": {otherKey.Digest, good}, // valid blob, wrong address
 		"truncated":       {k.Digest, good[:len(good)/2]},
+		"legacy v1":       {k.Digest, legacy["v1"]},
+		"legacy v2":       {k.Digest, legacy["v2"]},
 	}
 	for name, tc := range cases {
 		req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/blobs/"+tc.digest,
@@ -440,14 +444,11 @@ func TestServerConditionalGetVouchesExistence(t *testing.T) {
 	}
 }
 
-// TestServerContentNegotiation pins the wire table: a v3-declaring
-// client gets the daemon's disk bytes verbatim as octet-stream (the
-// near-zero-copy passthrough), a gzip-accepting legacy client gets the
-// deterministic compressed canonical view under Content-Encoding: gzip
-// (byte-equal to EncodeBlobCompressed), an identity-only client gets
-// the canonical JSON rendered on the fly, and a stock Go client (whose
-// transport negotiates and inflates transparently) sees the canonical
-// JSON too — four views of one immutable entity under one ETag.
+// TestServerContentNegotiation pins that there is none: every GET gets
+// the daemon's disk bytes verbatim as octet-stream, with no transfer
+// coding and no Vary, whatever the request's Accept-Encoding or the
+// retired X-Blob-Accept header say — one representation under one
+// ETag.
 func TestServerContentNegotiation(t *testing.T) {
 	st, srv := newDaemon(t)
 	k := testKey(t, 0)
@@ -458,104 +459,55 @@ func TestServerContentNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.ContainerOf(disk) != store.ContainerV3 {
-		t.Fatal("Put did not land the v3 container; the fixture is wrong")
-	}
-	canonical, err := store.EncodeBlob(k, testResult(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	compressed, err := store.EncodeBlobCompressed(k, testResult(0))
-	if err != nil {
-		t.Fatal(err)
-	}
 	blobURL := srv.URL + "/v1/blobs/" + k.Digest
 
-	// Raw client declaring the binary container: passthrough of the disk
-	// bytes, no transfer coding.
 	raw := &http.Client{Transport: &http.Transport{DisableCompression: true}}
-	req, _ := http.NewRequest(http.MethodGet, blobURL, nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	req.Header.Set("X-Blob-Accept", "v3")
-	resp, err := raw.Do(req)
+	for name, headers := range map[string]map[string]string{
+		"gzip":            {"Accept-Encoding": "gzip"},
+		"identity":        {"Accept-Encoding": "identity"},
+		"gzip+blob-v3":    {"Accept-Encoding": "gzip", "X-Blob-Accept": "v3"},
+		"no-declarations": {},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, blobURL, nil)
+		for h, v := range headers {
+			req.Header.Set(h, v)
+		}
+		resp, err := raw.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s GET: %s err=%v", name, resp.Status, err)
+		}
+		if ce := resp.Header.Get("Content-Encoding"); ce != "" {
+			t.Fatalf("%s response carries Content-Encoding %q", name, ce)
+		}
+		if v := resp.Header.Get("Vary"); v != "" {
+			t.Fatalf("%s response carries Vary %q", name, v)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+			t.Fatalf("%s Content-Type = %q", name, ct)
+		}
+		if !bytes.Equal(body, disk) {
+			t.Fatalf("%s body is not the disk blob verbatim", name)
+		}
+	}
+
+	// A stock Go client (whose transport asks for gzip on its own) gets
+	// the same bytes.
+	resp, err := http.Get(blobURL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("v3 GET: %s err=%v", resp.Status, err)
-	}
-	if resp.Header.Get("Content-Encoding") != "" {
-		t.Fatalf("v3 response carries Content-Encoding %q", resp.Header.Get("Content-Encoding"))
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
-		t.Fatalf("v3 Content-Type = %q", ct)
-	}
-	if !bytes.Equal(body, disk) {
-		t.Fatal("v3 body is not the disk container verbatim")
-	}
-	if _, err := store.ValidateBlob(body, k.Digest); err != nil {
-		t.Fatalf("passthrough body does not validate: %v", err)
+	if err != nil || !bytes.Equal(body, disk) {
+		t.Fatalf("stock-client GET diverged: err=%v", err)
 	}
 
-	// Legacy gzip client (no v3 declaration): the deterministic
-	// compressed canonical view — what a v2-era daemon would have
-	// served — under Content-Encoding: gzip.
-	req, _ = http.NewRequest(http.MethodGet, blobURL, nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err = raw.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("gzip GET: %s err=%v", resp.Status, err)
-	}
-	if resp.Header.Get("Content-Encoding") != "gzip" {
-		t.Fatalf("Content-Encoding = %q, want gzip", resp.Header.Get("Content-Encoding"))
-	}
-	if !bytes.Equal(body, compressed) {
-		t.Fatal("gzip body is not the deterministic compressed canonical view")
-	}
-	if _, err := store.ValidateBlob(body, k.Digest); err != nil {
-		t.Fatalf("gzip body does not validate: %v", err)
-	}
-
-	// Identity-only client: inflated canonical JSON, no coding header.
-	req, _ = http.NewRequest(http.MethodGet, blobURL, nil)
-	req.Header.Set("Accept-Encoding", "identity")
-	resp, err = raw.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("identity GET: %s err=%v", resp.Status, err)
-	}
-	if resp.Header.Get("Content-Encoding") != "" {
-		t.Fatalf("identity response carries Content-Encoding %q", resp.Header.Get("Content-Encoding"))
-	}
-	if !bytes.Equal(body, canonical) {
-		t.Fatal("identity body is not the canonical JSON")
-	}
-
-	// Stock Go client: the transport's transparent gzip round trip
-	// lands on the same canonical bytes — pre-codec clients interop.
-	resp, err = http.Get(blobURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || !bytes.Equal(body, canonical) {
-		t.Fatalf("transparent GET diverged: err=%v", err)
-	}
-
-	// Both codings share the digest ETag.
-	req, _ = http.NewRequest(http.MethodGet, blobURL, nil)
+	req, _ := http.NewRequest(http.MethodGet, blobURL, nil)
 	req.Header.Set("Accept-Encoding", "identity")
 	req.Header.Set("If-None-Match", `"`+k.Digest+`"`)
 	resp, err = raw.Do(req)
@@ -564,7 +516,7 @@ func TestServerContentNegotiation(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("conditional identity GET: %s, want 304", resp.Status)
+		t.Fatalf("conditional GET: %s, want 304", resp.Status)
 	}
 }
 

@@ -56,7 +56,7 @@ $(go test -run '^$' -bench 'BenchmarkSpanEvent|BenchmarkStartSpan' -benchtime 10
 printf '%s\n' "$raw"
 
 # Real-blob compression ratio: TestBlobCompressionRatio persists one
-# quick-scale campaign and logs raw vs compressed sizes.
+# quick-scale campaign and logs its body vs on-disk sizes.
 ratio=$(go test -run 'TestBlobCompressionRatio$' -v . |
 	sed -n 's/.*blob_compression_ratio=\([0-9.]*\).*/\1/p' | head -1)
 echo "bench_smoke: blob_compression_ratio=${ratio:-unknown}"
@@ -120,8 +120,8 @@ END {
 		printf ",\n  \"manifest_put_speedup\": %.2f", rewrite / journal
 	# v3 streaming encode: the allocation profile of the binary blob
 	# writer, and the reduction vs the PR-5 JSON-pipeline encode baseline
-	# (5177 allocs/op on the CI container lineage; BenchmarkBlobEncodeJSON
-	# still reproduces it). The v3 encoder is alloc-free in steady state,
+	# (5177 allocs/op on the CI container lineage, recorded before that
+	# pipeline was deleted). The v3 encoder is alloc-free in steady state,
 	# so the reduction denominator is floored at 1 — read a 5177 there as
 	# "the entire baseline cost is gone".
 	enc_allocs = allocs["BenchmarkBlobEncode"]
@@ -131,8 +131,8 @@ END {
 		printf ",\n  \"blob_encode_bytes_per_op\": %d", enc_bytes
 		printf ",\n  \"encode_alloc_reduction\": %.0f", 5177 / (enc_allocs > 0 ? enc_allocs : 1)
 	}
-	# Blob container: raw/compressed ratio of a real quick-scale
-	# campaign blob (from TestBlobCompressionRatio), and the warm-get
+	# Blob container: body/on-disk ratio of a real quick-scale campaign
+	# blob (from TestBlobCompressionRatio), and the warm-get
 	# memory trajectory vs the PR-4 (uncompressed wire/disk) baseline —
 	# the two numbers the compressed codec exists to move. The *_vs_pr4
 	# denominators are the bytes/allocs the PR-4 CI container recorded;
