@@ -30,16 +30,21 @@ func FuzzDecodeBlob(f *testing.F) {
 	}
 
 	f.Add(v3)
-	// Truncations tear the blob at every layer: mid-deflate-stream,
-	// mid-gzip-footer, and — behind an intact gzip layer below —
+	// Truncations tear the bytes at every layer: mid-JSON, mid-deflate-
+	// stream, mid-gzip-footer, and — behind an intact gzip layer below —
 	// mid-length-prefix and mid-section inside the inflated body.
-	f.Add(v3[:len(v3)/2])
-	f.Add(v3[:len(v3)-4]) // gzip CRC/ISIZE footer torn off
+	f.Add(v1[:len(v1)/2])
+	for _, src := range [][]byte{v2, v3} {
+		f.Add(src[:len(src)/2])
+		f.Add(src[:len(src)-4]) // gzip CRC/ISIZE footer torn off
+	}
 	// Bit flips corrupt without truncating — they land in the deflate
 	// stream (CRC catch) or the magic.
-	flipped := bytes.Clone(v3)
-	flipped[len(flipped)/3] ^= 0x40
-	f.Add(flipped)
+	for _, src := range [][]byte{v1, v2, v3} {
+		flipped := bytes.Clone(src)
+		flipped[len(flipped)/3] ^= 0x40
+		f.Add(flipped)
+	}
 	// Torn and misaligned bodies behind an intact gzip layer: the
 	// deflate CRC passes, so every cut lands on the binary reader's
 	// bounds checks — truncated length prefixes, section counts pointing
@@ -64,8 +69,11 @@ func FuzzDecodeBlob(f *testing.F) {
 	counts[len(counts)/2] ^= 0xFF // likely lands in a count or length
 	f.Add(reV3(counts))
 	// A high-ratio member: 64 KiB of padding compresses to ~100 bytes,
-	// steering the fuzzer toward the inflation rail.
-	f.Add(reV3(bytes.Repeat([]byte{' '}, 64<<10)))
+	// steering the fuzzer toward the inflation rail, with and without
+	// the magic in front.
+	bomb := gzipBytes(f, bytes.Repeat([]byte{' '}, 64<<10))
+	f.Add(bomb)
+	f.Add(append(append([]byte(nil), v3Magic[:]...), bomb...))
 	f.Add([]byte(`{}`))
 	f.Add([]byte{})
 	f.Add([]byte{0x1f, 0x8b}) // bare gzip magic, no stream

@@ -633,11 +633,10 @@ func (c *Client) readBodyInto(buf *bytes.Buffer, resp *http.Response, limit int6
 // body is the daemon's disk bytes verbatim, read into a pooled buffer
 // and validated exactly once by store.ValidateBlobBytes; the resulting
 // ValidatedBlob carries both the decoded result and the proof the
-// bytes cleared validation. A remote hit heals the local
-// tier by handing that proof to PutValidated, which writes the wire
-// bytes to disk verbatim with no second decode; an invalid or
-// truncated remote body is a miss (Corrupt counter), exactly like a
-// corrupt local blob.
+// bytes cleared validation. A remote hit heals the local tier by
+// handing that proof to PutValidated, which writes the wire bytes to
+// disk verbatim with no second decode; an invalid or truncated remote
+// body is a miss (Corrupt counter), exactly like a corrupt local blob.
 func (c *Client) Get(k store.Key) (*core.Result, bool) {
 	if c.cache != nil {
 		if res, ok := c.cache.Get(k); ok {
