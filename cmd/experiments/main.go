@@ -24,22 +24,17 @@
 // artefacts, and after a config change or an interrupt only the missing
 // campaigns run. -no-cache ignores the directory for one run.
 //
-// With -store-url, the store is a stored daemon instead of (or in front
-// of) a local directory: campaigns read from and write to the daemon
-// over HTTP (see internal/storenet), so runs on different hosts share
-// one store. Combining -store-url with -cache-dir adds a local
-// write-through tier: local hits skip the network, remote hits heal the
-// local copy.
-//
-// A comma-separated -store-url list replicates instead: the store
-// becomes a consistent-hashing router over every listed daemon (see
-// internal/storenet/router), writing each campaign to its -replication
-// preferred members (default 2) and failing reads and lease claims over
-// to ring successors when a member is down. A single URL keeps the
-// plain client path — the list form changes nothing until there is
-// actually more than one member. With -cache-dir the directory is the
-// router's local read-through tier. The end-of-run stats include a
-// per-member health line.
+// With -store-url, the store is one or more stored daemons instead of
+// (or in front of) a local directory, so runs on different hosts share
+// one store (see internal/storenet). Every -store-url is a
+// consistent-hashing router over its daemons (internal/storenet/router):
+// a comma-separated list writes each campaign to its -replication
+// preferred members (default 2) and fails reads and lease claims over
+// to ring successors; a single URL is a router of one with one copy.
+// With -cache-dir the directory is the local tier (store.Tier): read
+// and written through, and journaling the writes no daemon can take.
+// The end-of-run stats include the router summary and a per-member
+// health line.
 //
 // With -lease-ttl, multi-unit sweeps additionally claim each campaign
 // through an advisory store lease before computing it, so several
@@ -62,12 +57,13 @@
 // -store-errors selects what a store write or claim failure does to a
 // sweep: abort it, or degrade around it (unleased recompute on a failed
 // claim, unpersisted in-memory result on a failed write). The default,
-// auto, degrades exactly when the store has a local fallback tier
-// (-store-url combined with -cache-dir) and aborts otherwise. A run
-// that degraded prints a resilience stats line; writes the outage
-// deferred into the local tier's pending journal are replayed to the
-// daemon automatically when it returns, or explicitly with -reconcile,
-// which flushes the journal and exits without generating artefacts.
+// auto, degrades exactly when the store has a fallback — a local tier
+// (-store-url combined with -cache-dir) or a second replica — and
+// aborts otherwise. A run that degraded prints a resilience stats
+// line; writes the outage deferred into the local tier's pending
+// journal are replayed to the daemons automatically when they return,
+// or explicitly with -reconcile, which flushes the journal and exits
+// without generating artefacts.
 //
 // With -trace-out, the run records every fleet sweep as a span tree —
 // one root span per sweep, one child span per shard (claim, compute,
@@ -143,7 +139,7 @@ func run(args []string, out io.Writer) error {
 		seed      = fs.Uint64("seed", 2025, "campaign seed")
 		parallel  = fs.Int("parallel", 0, "concurrent pair campaigns per sweep (0 = one per CPU, 1 = serial; results are identical at every setting)")
 		cacheDir  = fs.String("cache-dir", "", "persist campaign results as content-addressed blobs in this directory; warm re-runs recompute nothing")
-		storeURL  = fs.String("store-url", "", "use stored daemon(s) as the campaign store: one base URL (e.g. http://host:8417), or a comma-separated list to replicate across a consistent-hashing router; with -cache-dir the directory becomes a local write-through (single URL) or read-through (list) tier")
+		storeURL  = fs.String("store-url", "", "use stored daemon(s) as the campaign store: one base URL (e.g. http://host:8417), or a comma-separated list to replicate across a consistent-hashing router; every URL list is a router (one URL: a router of one); with -cache-dir the directory becomes the local tier, written through and journaling writes no daemon can take")
 		replicas  = fs.Int("replication", 2, "with a multi-member -store-url list: copies of each campaign blob to keep (clamped to the member count)")
 		storeTok  = fs.String("store-token", "", "bearer token for a -store-url daemon running with -tokens (needs write scope for sweeps; 401/403 are terminal — fix the token, they are never retried or journaled)")
 		noCache   = fs.Bool("no-cache", false, "ignore -cache-dir and -store-url for this run: neither read nor write any store")
@@ -222,24 +218,12 @@ func run(args []string, out io.Writer) error {
 	// replays) go to stderr as structured lines; artefact output stays on
 	// out.
 	diagLog := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	switch {
-	case len(memberURLs) == 1 && !*noCache:
-		// One daemon: the plain client path, with -cache-dir as its
-		// write-through tier. Identical to the pre-list behavior.
-		client, err := storenet.NewClient(memberURLs[0], storenet.ClientOptions{
-			Cache:  localStore,
-			Token:  *storeTok,
-			Tracer: tracer,
-			Logger: diagLog,
-		})
-		if err != nil {
-			return err
-		}
-		backend = client
-	case len(memberURLs) > 1 && !*noCache:
-		// Several daemons: cache-less clients under a replicating router.
-		// The local tier (if any) belongs to the router, not to any one
-		// member — a member's copy must mean that member has the bytes.
+	// Every -store-url is a router over cache-less member clients. The
+	// local tier (if any) belongs to the router, not to any one member —
+	// a member's copy must mean that member has the bytes.
+	var clients []*storenet.Client
+	var rt *router.Router
+	if len(memberURLs) > 0 && !*noCache {
 		members := make([]store.Backend, 0, len(memberURLs))
 		for _, u := range memberURLs {
 			c, err := storenet.NewClient(u, storenet.ClientOptions{
@@ -250,9 +234,11 @@ func run(args []string, out io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("-store-url member %s: %w", u, err)
 			}
+			clients = append(clients, c)
 			members = append(members, c)
 		}
-		rt, err := router.New(members, router.Options{
+		var err error
+		rt, err = router.New(members, router.Options{
 			Replication: *replicas,
 			Local:       localStore,
 			Seed:        *seed,
@@ -385,19 +371,23 @@ func run(args []string, out io.Writer) error {
 				gs.Evicted, gs.Scanned, gs.BytesBefore, gs.BytesAfter,
 				gs.TmpRemoved, gs.LeasesRemoved)
 		}
-		// The wire-level telemetry line mirrors what the client's span
-		// stream and the daemon's /metrics see; printed only when the run
-		// actually went over the network.
-		if c, ok := backend.(*storenet.Client); ok {
-			tel := c.Telemetry()
-			fmt.Fprintf(out, "client: %d retries, %d rate-limited, %d breaker opens, %d deferred, %d replayed, %d KiB out, %d KiB in\n",
-				tel.Retries, tel.RateLimited, tel.BreakerOpened, tel.DeferredPuts,
-				tel.ReconcileReplays, tel.BytesSent/1024, tel.BytesReceived/1024)
-		}
-		// The replication lines mirror the router's counters: one summary,
-		// then one health line per member so an operator sees at a glance
-		// which daemon a degraded run routed around.
-		if rt, ok := backend.(*router.Router); ok {
+		// A run that went over the network prints the member clients'
+		// wire telemetry, summed (journal traffic is the local tier's and
+		// rides the resilience line), then the router's counters: one
+		// summary and one health line per member, so an operator sees at
+		// a glance which daemon a degraded run routed around.
+		if rt != nil {
+			var tel storenet.Telemetry
+			for _, c := range clients {
+				t := c.Telemetry()
+				tel.Retries += t.Retries
+				tel.RateLimited += t.RateLimited
+				tel.BreakerOpened += t.BreakerOpened
+				tel.BytesSent += t.BytesSent
+				tel.BytesReceived += t.BytesReceived
+			}
+			fmt.Fprintf(out, "client: %d retries, %d rate-limited, %d breaker opens, %d KiB out, %d KiB in\n",
+				tel.Retries, tel.RateLimited, tel.BreakerOpened, tel.BytesSent/1024, tel.BytesReceived/1024)
 			rs := rt.ReplicationStats()
 			fmt.Fprintf(out, "router: %d/%d members healthy, r=%d, %d failovers, %d under-replicated puts, %d read repairs, %d pending\n",
 				rs.Healthy, rs.Members, rs.Replication, rs.Failovers,

@@ -798,3 +798,69 @@ func TestStoreURLListRouter(t *testing.T) {
 		t.Fatalf("dead member's health line missing or non-empty:\n%s", s)
 	}
 }
+
+// TestStoreURLListDegradedThenReconcile is the outage story through a
+// -store-url list: with every daemon down the run journals its write in
+// the -cache-dir tier, and a later -reconcile against live daemons
+// replays it.
+func TestStoreURLListDegradedThenReconcile(t *testing.T) {
+	cacheDir := t.TempDir()
+	var out bytes.Buffer
+	if err := run([]string{"-scale", "quick", "-only", "fig3c",
+		"-store-url", "http://127.0.0.1:1,http://127.0.0.1:2", "-cache-dir", cacheDir,
+		"-out", t.TempDir()}, &out); err != nil {
+		t.Fatalf("degraded list run failed: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "resilience: 0 degraded reads, 1 deferred writes") {
+		t.Fatalf("no resilience line with 1 deferred write:\n%s", out.String())
+	}
+
+	backings := make([]*store.Store, 2)
+	urls := make([]string, 2)
+	for i := range backings {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(storenet.NewServer(st))
+		defer srv.Close()
+		backings[i], urls[i] = st, srv.URL
+	}
+	out.Reset()
+	if err := run([]string{"-reconcile", "-store-url", strings.Join(urls, ","),
+		"-cache-dir", cacheDir, "-out", t.TempDir()}, &out); err != nil {
+		t.Fatalf("-reconcile: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "reconcile: replayed 1 blobs") ||
+		!strings.Contains(out.String(), ", 0 pending") {
+		t.Fatalf("reconcile did not replay the deferred blob:\n%s", out.String())
+	}
+	if n := backings[0].Len() + backings[1].Len(); n != 2 {
+		t.Fatalf("replayed blob on %d member copies, want 2 (r=2)", n)
+	}
+}
+
+// TestStoreURLSingleIsRouterOfOne: one -store-url is a router of one
+// member holding one copy, and the run reports it like any router.
+func TestStoreURLSingleIsRouterOfOne(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(storenet.NewServer(st))
+	defer srv.Close()
+	var out bytes.Buffer
+	if err := run([]string{"-only", "table1", "-store-url", srv.URL, "-out", t.TempDir()}, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	for _, want := range []string{
+		"cache " + srv.URL + ":",
+		"router: 1/1 members healthy, r=1",
+		"  member " + srv.URL + ": healthy",
+		"client: ",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("run log lacks %q:\n%s", want, out.String())
+		}
+	}
+}

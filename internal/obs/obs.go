@@ -125,6 +125,38 @@ type TraceContextSetter interface {
 	SetTraceContext(SpanContext)
 }
 
+// Ambient is a possibly-nil Tracer plus the ambient parent its spans
+// start under: a carrier's TraceContextSetter state. Concurrency-safe.
+type Ambient struct {
+	Tracer *Tracer
+	parent atomic.Pointer[SpanContext]
+}
+
+// SetTraceContext installs sc as the parent; the zero context clears it.
+func (a *Ambient) SetTraceContext(sc SpanContext) {
+	if sc.Valid() {
+		a.parent.Store(&sc)
+	} else {
+		a.parent.Store(nil)
+	}
+}
+
+// Parent returns the ambient parent context, zero when none is set.
+func (a *Ambient) Parent() SpanContext {
+	if p := a.parent.Load(); p != nil {
+		return *p
+	}
+	return SpanContext{}
+}
+
+// StartSpan opens a span under the parent; nil, free, when tracing is off.
+func (a *Ambient) StartSpan(name string) *Span {
+	if a.Tracer == nil {
+		return nil
+	}
+	return a.Tracer.StartSpan(name, a.Parent())
+}
+
 // Attr is one key/value annotation on a span.
 type Attr struct {
 	Key   string

@@ -141,7 +141,8 @@ type Replicated interface {
 }
 
 // Resilient is implemented by backends that survive a remote outage by
-// degrading to a local tier (storenet.Client with a cache configured).
+// degrading to a local Tier (storenet.Client, and the replicating
+// router, which also degrades to its other replicas).
 // Blobs are content-addressed and immutable, so the degraded contract
 // is safe by construction: a deferred write holds exactly the bytes the
 // remote would have stored, replaying it is idempotent, and no reader

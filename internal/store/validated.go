@@ -35,13 +35,23 @@ type ValidatedBlob struct {
 // digest they claim and returns the proof-carrying blob: the validated
 // bytes plus the decoded result, from one parse. It is the constructor
 // every storing path funnels through: the daemon's PUT handler, the
-// client's response validation, and the pending-journal reconciler.
+// client's response validation, and EncodeValidated.
 func ValidateBlobBytes(data []byte, digest string) (*ValidatedBlob, error) {
 	k, res, rawBytes, err := parseBlob(data, digest)
 	if err != nil {
 		return nil, err
 	}
 	return &ValidatedBlob{key: k, data: data, rawBytes: rawBytes, res: res}, nil
+}
+
+// EncodeValidated encodes a result (EncodeBlobV3) and validates the
+// bytes once: the blob a remote backend's Put uploads verbatim.
+func EncodeValidated(k Key, res *core.Result) (*ValidatedBlob, error) {
+	data, err := EncodeBlobV3(k, res)
+	if err != nil {
+		return nil, err
+	}
+	return ValidateBlobBytes(data, k.Digest)
 }
 
 // Digest returns the digest the bytes were validated against.

@@ -10,8 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,9 +23,10 @@ import (
 
 // ErrUnavailable marks a request fast-failed by the open circuit
 // breaker: the daemon is evidently down and the client refused to burn
-// a timeout finding out again. Reads treat it as a miss; Put falls back
-// to the deferred (write-behind) path when a local tier exists.
-var ErrUnavailable = errors.New("storenet: store unavailable (circuit open)")
+// a timeout finding out again. Reads treat it as a miss. It wraps
+// store.ErrUnreachable, so a Put carrying it is deferred to a local
+// tier's journal (the client's own, or a router's).
+var ErrUnavailable = fmt.Errorf("storenet: store unavailable (circuit open): %w", store.ErrUnreachable)
 
 // ErrAuth marks a request the daemon understood and refused on
 // credentials: 401 (missing/unknown token) or 403 (insufficient
@@ -47,35 +46,13 @@ var ErrAuth = errors.New("storenet: rejected by daemon auth (check ClientOptions
 // very quota the daemon is enforcing.
 var ErrRateLimited = errors.New("storenet: rate limited by daemon")
 
-// Write-behind journal layout: one marker file per deferred digest, in
-// a subdirectory of the cache store's directory. The store's own scans
-// (manifest rebuild, GC, blob counting) skip directories, so the
-// journal is invisible to the local tier's machinery; the blob bytes
-// themselves live in the cache as ordinary blobs, the marker only
-// records "the daemon has not seen this one yet". The marker body is
-// the deferring request's W3C traceparent (or empty when tracing was
-// off), so a reconcile replay — possibly minutes later, possibly from
-// a different process — still carries the originating sweep's trace ID
-// and the daemon's /debug/ops ring attributes the late write to the
-// sweep that produced it.
-const (
-	pendingDirName = "pending"
-	pendingSuffix  = ".pend"
-)
-
 // Client speaks the v1 API to a stored daemon and implements
 // store.Backend, so fleet sweeps and experiment suites use a remote
 // store through the exact code paths they use for a local directory.
 //
-// # Cache tier
-//
-// With Options.Cache set, the client runs write-through over a local
-// *store.Store: Get serves local hits without a network round trip, a
-// remote hit heals the local tier (the validated bytes are written
-// down), and Put lands in both. Because blobs are immutable per digest,
-// the tiers can never disagree about a key's content — only about its
-// presence — so the local tier is pure acceleration. Leases always go
-// remote: claims must be arbitrated fleet-wide, never per host.
+// With Options.Cache set, the client reads through and writes through
+// a local store.Tier, which also journals the Puts an outage defers.
+// Leases always go remote: claims must be arbitrated fleet-wide.
 //
 // # Failure discipline
 //
@@ -102,20 +79,15 @@ const (
 // burning a timeout-and-retry cycle, and after a cooldown a single
 // half-open probe decides whether to close it. With a local tier
 // configured the client then runs in degraded mode rather than
-// failing: Gets serve local-only, and Puts land in the local tier plus
-// a write-behind journal (pending/ inside the cache directory) that
-// Reconcile — explicit, or kicked off automatically when the breaker
-// closes — replays to the daemon. Blobs are content-addressed and
-// immutable, so the replay is idempotent and byte-identical to what a
-// healthy Put would have stored: degraded mode trades away only
-// freshness of the shared tier, never correctness or exactly-once
-// artefacts. Resilience() reports the degraded/deferred/reconciled
-// traffic.
+// failing: Gets serve local-only, and Puts are deferred into the
+// tier's journal, which Reconcile — explicit, or started in the
+// background when the breaker closes — replays to the daemon.
+// Resilience() reports the degraded/deferred/reconciled traffic.
 type Client struct {
 	base       string
 	hc         *http.Client
-	cache      *store.Store
-	auth       string // "Bearer <token>", or "" for open daemons
+	tier       *store.Tier // nil without ClientOptions.Cache
+	auth       string      // "Bearer <token>", or "" for open daemons
 	retries    int
 	backoff    time.Duration
 	reqTimeout time.Duration
@@ -126,29 +98,17 @@ type Client struct {
 	// and thus every backoff schedule — reproducible in tests.
 	jstate atomic.Uint64
 
-	// pendingDir is the write-behind journal: one marker file per
-	// deferred digest, persisted inside the cache directory so an
-	// interrupted process's deferred writes survive to the next
-	// Reconcile (the experiments -reconcile flag).
-	pendingDir  string
-	reconcileMu sync.Mutex
+	// trace records one client span per wire operation under the
+	// ambient parent fleet.Sweep installs (SetTraceContext); a nil
+	// tracer keeps the whole span path at zero cost.
+	trace obs.Ambient
 
-	// tracer records one client span per wire operation; nil (the
-	// default) keeps the whole span path at zero cost. tctx is the
-	// ambient parent — the sweep root span's context, handed over by
-	// fleet.Sweep through SetTraceContext — under which request spans
-	// are parented and whose traceparent rides every request.
-	tracer *obs.Tracer
-	tctx   atomic.Pointer[obs.SpanContext]
-
-	// log receives breaker state edges and reconcile outcomes; defaults
-	// to discard. lastErr remembers the most recent failed attempt's
+	// log receives breaker state edges; defaults to discard. lastErr remembers the most recent failed attempt's
 	// error text so a breaker-open log line can say what broke.
 	log     *slog.Logger
 	lastErr atomic.Pointer[string]
 
-	hits, misses, corrupt, puts             atomic.Int64
-	degraded, deferred, reconciled, pending atomic.Int64
+	hits, misses, corrupt, puts, degraded atomic.Int64
 
 	// Telemetry counters beyond the Backend Counters contract — see
 	// Telemetry().
@@ -159,10 +119,10 @@ type Client struct {
 
 // ClientOptions configures a Client; the zero value works.
 type ClientOptions struct {
-	// Cache, when non-nil, is the local write-through tier — and the
-	// degraded-mode fallback: with it set, an unreachable daemon means
-	// local-only reads and journaled (deferred) writes instead of
-	// errors.
+	// Cache, when non-nil, is the directory of the local write-through
+	// tier (a store.Tier) — and the degraded-mode fallback: with it
+	// set, an unreachable daemon means local-only reads and journaled
+	// (deferred) writes instead of errors.
 	Cache *store.Store
 	// HTTPClient overrides the default client (keep-alive transport).
 	// Per-attempt deadlines come from RequestTimeout either way.
@@ -201,8 +161,8 @@ type ClientOptions struct {
 	// nil means tracing off, at zero cost on every path.
 	Tracer *obs.Tracer
 	// Logger receives operational edges — breaker open/half-open/close
-	// transitions (with consecutive-failure count and last error) and
-	// reconcile outcomes. nil discards.
+	// transitions, with consecutive-failure count and last error. nil
+	// discards.
 	Logger *slog.Logger
 }
 
@@ -263,13 +223,13 @@ func NewClient(baseURL string, opts ClientOptions) (*Client, error) {
 	c := &Client{
 		base:       strings.TrimRight(u.String(), "/"),
 		hc:         hc,
-		cache:      opts.Cache,
+		tier:       store.NewTier(opts.Cache),
 		auth:       auth,
 		retries:    retries,
 		backoff:    backoff,
 		reqTimeout: reqTimeout,
 		br:         newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, nil),
-		tracer:     opts.Tracer,
+		trace:      obs.Ambient{Tracer: opts.Tracer},
 		log:        logger,
 	}
 	// Breaker state edges were previously silent — an operator learned
@@ -302,19 +262,6 @@ func NewClient(baseURL string, opts ClientOptions) (*Client, error) {
 			"last_error", lastErr)
 	}
 	c.jstate.Store(opts.Seed ^ 0x9e3779b97f4a7c15)
-	if opts.Cache != nil {
-		c.pendingDir = filepath.Join(opts.Cache.Dir(), pendingDirName)
-		// Count journal entries a previous process left behind, so
-		// Resilience().Pending is right from the first call and the
-		// recovery edge knows there is something to replay.
-		if entries, err := os.ReadDir(c.pendingDir); err == nil {
-			for _, de := range entries {
-				if !de.IsDir() && strings.HasSuffix(de.Name(), pendingSuffix) {
-					c.pending.Add(1)
-				}
-			}
-		}
-	}
 	return c, nil
 }
 
@@ -326,31 +273,7 @@ func (c *Client) Location() string { return c.base }
 // subsequent request spans are created and propagated. The zero
 // context clears it. Safe for concurrent use; store.Backend carries no
 // context parameter, so this is how a trace crosses the Backend seam.
-func (c *Client) SetTraceContext(sc obs.SpanContext) {
-	if sc.Valid() {
-		c.tctx.Store(&sc)
-	} else {
-		c.tctx.Store(nil)
-	}
-}
-
-// traceParent is the ambient parent context for new request spans.
-func (c *Client) traceParent() obs.SpanContext {
-	if p := c.tctx.Load(); p != nil {
-		return *p
-	}
-	return obs.SpanContext{}
-}
-
-// startSpan opens one client span for a wire operation under the
-// ambient trace context. Returns nil (free everywhere downstream) when
-// tracing is off.
-func (c *Client) startSpan(op string) *obs.Span {
-	if c.tracer == nil {
-		return nil
-	}
-	return c.tracer.StartSpan(op, c.traceParent())
-}
+func (c *Client) SetTraceContext(sc obs.SpanContext) { c.trace.SetTraceContext(sc) }
 
 func (c *Client) blobURL(digest string) string {
 	return c.base + apiPrefix + "/blobs/" + url.PathEscape(digest)
@@ -388,7 +311,7 @@ func (c *Client) jitter(max time.Duration) time.Duration {
 // cancel must run once the attempt's response is fully consumed —
 // success paths hand it to cancelBody (fired on Body.Close), failure
 // paths call it directly.
-func (c *Client) newAttempt(method, u string, body []byte, traceparent string) (*http.Request, context.CancelFunc, error) {
+func (c *Client) newAttempt(method, u string, body []byte, contentType, traceparent string) (*http.Request, context.CancelFunc, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.reqTimeout)
 	var rd io.Reader
 	if body != nil {
@@ -406,7 +329,7 @@ func (c *Client) newAttempt(method, u string, body []byte, traceparent string) (
 		req.Header.Set("traceparent", traceparent)
 	}
 	if body != nil {
-		req.Header.Set("Content-Type", "application/octet-stream") // a blob
+		req.Header.Set("Content-Type", contentType)
 	}
 	return req, cancel, nil
 }
@@ -427,17 +350,17 @@ func (b cancelBody) Close() error {
 }
 
 // recordAttempt feeds the breaker and, on the open→closed recovery
-// edge, kicks the background reconciler when deferred writes are
-// waiting — the "heal the remote when it returns" half of degraded
-// mode, with no operator in the loop. cause (nil on success) is
-// remembered so the breaker's transition log can name what broke.
+// edge, starts a background replay of the tier's journal — the "heal
+// the remote when it returns" half of degraded mode, with no operator
+// in the loop. cause (nil on success) is remembered so the breaker's
+// transition log can name what broke.
 func (c *Client) recordAttempt(ok bool, cause error) {
 	if cause != nil {
 		s := cause.Error()
 		c.lastErr.Store(&s)
 	}
-	if c.br.record(ok) && c.pending.Load() > 0 {
-		go func() { _, _ = c.Reconcile() }()
+	if c.br.record(ok) {
+		c.tier.ReplayInBackground(c.replay)
 	}
 }
 
@@ -447,7 +370,8 @@ func (c *Client) recordAttempt(ok bool, cause error) {
 // memory on every attempt. 4xx responses return immediately — retrying
 // a request the server understood and refused only repeats the
 // refusal. While the circuit breaker is open the whole call fails
-// immediately with ErrUnavailable — no connection, no sleep.
+// immediately with ErrUnavailable — no connection, no sleep. Every
+// failure except an exhausted rate limit wraps store.ErrUnreachable.
 //
 // span, when non-nil, is the caller's client span for this logical
 // operation: its context rides every attempt as the traceparent header
@@ -477,7 +401,7 @@ func (c *Client) doIdempotent(method, u string, body []byte, span *obs.Span, par
 			span.Event("breaker.fastfail")
 			return nil, fmt.Errorf("storenet: %s %s: %w", method, u, ErrUnavailable)
 		}
-		req, cancel, err := c.newAttempt(method, u, body, traceparent)
+		req, cancel, err := c.newAttempt(method, u, body, "application/octet-stream", traceparent)
 		if err != nil {
 			return nil, err
 		}
@@ -519,6 +443,9 @@ func (c *Client) doIdempotent(method, u string, body []byte, span *obs.Span, par
 		resp.Body = cancelBody{ReadCloser: resp.Body, cancel: cancel}
 		return resp, nil
 	}
+	if !errors.Is(lastErr, ErrRateLimited) {
+		lastErr = fmt.Errorf("%w: %w", store.ErrUnreachable, lastErr)
+	}
 	return nil, fmt.Errorf("storenet: %s %s: giving up after %d attempts: %w",
 		method, u, c.retries, lastErr)
 }
@@ -538,18 +465,9 @@ func (c *Client) doOnce(u string, body any, span *obs.Span) (*http.Response, err
 		span.Event("breaker.fastfail")
 		return nil, fmt.Errorf("storenet: POST %s: %w", u, ErrUnavailable)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.reqTimeout)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(data))
+	req, cancel, err := c.newAttempt(http.MethodPost, u, data, "application/json", span.Context().Traceparent())
 	if err != nil {
-		cancel()
 		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if c.auth != "" {
-		req.Header.Set("Authorization", c.auth)
-	}
-	if tp := span.Context().Traceparent(); tp != "" {
-		req.Header.Set("traceparent", tp)
 	}
 	c.bytesSent.Add(int64(len(data)))
 	resp, err := c.hc.Do(req)
@@ -596,10 +514,9 @@ func (c *Client) drain(resp *http.Response) {
 // consumed to EOF, or the transport discards the connection instead of
 // pooling it and each subsequent request pays a fresh handshake.
 func (c *Client) readBody(resp *http.Response, limit int64) ([]byte, error) {
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit))
-	c.bytesReceived.Add(int64(len(data)))
-	return data, err
+	var buf bytes.Buffer
+	err := c.readBodyInto(&buf, resp, limit)
+	return buf.Bytes(), err
 }
 
 // bodyBufs recycles blob-body buffers across warm Gets. The buffer's
@@ -629,128 +546,79 @@ func (c *Client) readBodyInto(buf *bytes.Buffer, resp *http.Response, limit int6
 	return err
 }
 
-// Get resolves a key: local tier first, then the daemon. The response
-// body is the daemon's disk bytes verbatim, read into a pooled buffer
-// and validated exactly once by store.ValidateBlobBytes; the resulting
-// ValidatedBlob carries both the decoded result and the proof the
-// bytes cleared validation. A remote hit heals the local tier by
-// handing that proof to PutValidated, which writes the wire bytes to
-// disk verbatim with no second decode; an invalid or truncated remote
-// body is a miss (Corrupt counter), exactly like a corrupt local blob.
+// Get resolves a key: local tier first, then the daemon. The body — the
+// daemon's disk bytes verbatim — is read into a pooled buffer and
+// validated exactly once; a remote hit heals the local tier with those
+// bytes (no second decode), and an invalid or truncated body is a miss
+// (Corrupt counter), exactly like a corrupt local blob.
 func (c *Client) Get(k store.Key) (*core.Result, bool) {
-	if c.cache != nil {
-		if res, ok := c.cache.Get(k); ok {
-			c.hits.Add(1)
-			return res, true
-		}
-	}
-	span := c.startSpan("storenet.get")
-	defer span.End()
-	resp, err := c.doIdempotent(http.MethodGet, c.blobURL(k.Digest), nil, span, obs.SpanContext{})
-	if err != nil {
-		if errors.Is(err, ErrUnavailable) {
-			// Degraded read: the local tier (checked above) was the whole
-			// answer. A miss here is recoverable — the caller recomputes —
-			// and it cost microseconds instead of a timeout.
-			c.degraded.Add(1)
-			span.SetAttr("outcome", "degraded")
-		} else {
-			span.SetAttr("outcome", "error")
-		}
-		c.misses.Add(1)
-		return nil, false
-	}
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer putBodyBuf(buf)
-	readErr := c.readBodyInto(buf, resp, maxBlobBytes)
-	if resp.StatusCode != http.StatusOK {
-		c.misses.Add(1)
-		span.SetAttr("outcome", "miss")
+	vb, ok := c.fetch(k.Digest, buf)
+	if !ok {
 		return nil, false
 	}
-	if readErr != nil {
-		// The transfer died mid-body: treat as a miss, recompute, heal.
-		c.corrupt.Add(1)
-		c.misses.Add(1)
-		span.SetAttr("outcome", "corrupt")
-		return nil, false
-	}
-	c.decodePasses.Add(1)
-	vb, err := store.ValidateBlobBytes(buf.Bytes(), k.Digest)
-	if err != nil {
-		c.corrupt.Add(1)
-		c.misses.Add(1)
-		span.SetAttr("outcome", "corrupt")
-		return nil, false
-	}
-	if c.cache != nil {
-		// Best-effort heal: a full local disk must not fail a read the
-		// remote already answered. The proof-carrying handoff writes the
-		// wire bytes verbatim — no second decode. (PutValidated persists
-		// before returning, inside the pooled buffer's lifetime.)
-		_ = c.cache.PutValidated(vb)
-	}
-	c.hits.Add(1)
-	span.SetAttr("outcome", "hit")
 	return vb.Result(), true
 }
 
-// GetValidated implements store.ValidatedGetter: Get's wire path, but
+// GetValidated implements store.ValidatedGetter: Get's read path, but
 // returning the proof-carrying blob — validated container bytes plus
 // the decoded result from the same single parse — instead of just the
 // result. The router's read-repair rides this: a member that misses is
 // healed with another member's validated bytes verbatim. Unlike Get,
 // the returned bytes are freshly allocated (not pooled scratch), so
-// they survive the call; local-tier counters and heal behavior match
-// Get exactly.
+// they survive the call.
 func (c *Client) GetValidated(digest string) (*store.ValidatedBlob, bool) {
-	if c.cache != nil {
-		if vb, ok := c.cache.GetValidated(digest); ok {
-			c.hits.Add(1)
-			return vb, true
-		}
+	return c.fetch(digest, new(bytes.Buffer))
+}
+
+// fetch is the one read path behind Get and GetValidated: local tier,
+// then the daemon, reading the body into buf. A returned blob's bytes
+// alias buf; the local-tier heal persists them before fetch returns.
+func (c *Client) fetch(digest string, buf *bytes.Buffer) (*store.ValidatedBlob, bool) {
+	if vb, ok := c.tier.GetValidated(digest); ok {
+		c.hits.Add(1)
+		return vb, true
 	}
-	span := c.startSpan("storenet.get")
+	span := c.trace.StartSpan("storenet.get")
 	defer span.End()
 	resp, err := c.doIdempotent(http.MethodGet, c.blobURL(digest), nil, span, obs.SpanContext{})
 	if err != nil {
-		if errors.Is(err, ErrUnavailable) {
-			c.degraded.Add(1)
-			span.SetAttr("outcome", "degraded")
-		} else {
-			span.SetAttr("outcome", "error")
+		if !errors.Is(err, ErrUnavailable) {
+			return c.miss(span, "error")
 		}
-		c.misses.Add(1)
-		return nil, false
+		// Degraded read: the local tier (checked above) was the whole
+		// answer. A miss here is recoverable — the caller recomputes —
+		// and it cost microseconds instead of a timeout.
+		c.degraded.Add(1)
+		return c.miss(span, "degraded")
 	}
-	var buf bytes.Buffer
-	readErr := c.readBodyInto(&buf, resp, maxBlobBytes)
+	readErr := c.readBodyInto(buf, resp, maxBlobBytes)
 	if resp.StatusCode != http.StatusOK {
-		c.misses.Add(1)
-		span.SetAttr("outcome", "miss")
-		return nil, false
+		return c.miss(span, "miss")
 	}
-	if readErr != nil {
-		c.corrupt.Add(1)
-		c.misses.Add(1)
-		span.SetAttr("outcome", "corrupt")
-		return nil, false
+	// A transfer that died mid-body is as corrupt as one that fails
+	// validation: a miss, recomputed and healed by the next Put.
+	var vb *store.ValidatedBlob
+	if err = readErr; err == nil {
+		c.decodePasses.Add(1)
+		vb, err = store.ValidateBlobBytes(buf.Bytes(), digest)
 	}
-	c.decodePasses.Add(1)
-	vb, err := store.ValidateBlobBytes(buf.Bytes(), digest)
 	if err != nil {
 		c.corrupt.Add(1)
-		c.misses.Add(1)
-		span.SetAttr("outcome", "corrupt")
-		return nil, false
+		return c.miss(span, "corrupt")
 	}
-	if c.cache != nil {
-		_ = c.cache.PutValidated(vb)
-	}
+	c.tier.PutValidated(vb)
 	c.hits.Add(1)
 	span.SetAttr("outcome", "hit")
 	return vb, true
+}
+
+func (c *Client) miss(span *obs.Span, outcome string) (*store.ValidatedBlob, bool) {
+	c.misses.Add(1)
+	span.SetAttr("outcome", outcome)
+	return nil, false
 }
 
 // Healthy reports whether this client currently offers its daemon a
@@ -762,148 +630,90 @@ func (c *Client) GetValidated(digest string) (*store.ValidatedBlob, bool) {
 // would admit its half-open probe.
 func (c *Client) Healthy() bool { return !c.br.isOpen() }
 
-// Put encodes once — straight into the blob container — and writes
-// through: daemon first (authoritative — its failure fails the Put),
-// then the local tier (best-effort, the same bytes verbatim). The wire
-// carries the blob as application/octet-stream; the daemon stores it
-// as-is after validation.
-//
-// When the daemon is unreachable (breaker open, or the retry budget
-// exhausted on transport/5xx failures) and a local tier exists, the Put
-// defers instead of failing: the blob lands locally and a journal
-// marker records it for Reconcile. A 4xx refusal never defers — the
-// daemon saw the request and rejected it, so replaying the identical
-// bytes later would fail identically.
+// Put encodes and validates once, then uploads through PutValidated.
 func (c *Client) Put(k store.Key, res *core.Result) error {
-	if res == nil {
-		return fmt.Errorf("storenet: nil result for %s", k)
-	}
-	data, err := store.EncodeBlobV3(k, res)
+	vb, err := store.EncodeValidated(k, res)
 	if err != nil {
-		return fmt.Errorf("storenet: encode %s: %w", k, err)
-	}
-	return c.putBlob(k, data)
-}
-
-// PutValidated implements store.ValidatedPutter: it uploads an
-// already-validated container verbatim — no re-encode, no second parse.
-// This is the write half of the router's read-repair path: the bytes a
-// member's Get validated travel to an under-replicated member exactly
-// as they came off the wire. Degraded-mode semantics match Put (an
-// unreachable daemon defers into the journal when a local tier exists).
-func (c *Client) PutValidated(vb *store.ValidatedBlob) error {
-	k := vb.Key()
-	// The blob's bytes may alias a caller's scratch buffer; the journal
-	// and retry paths below persist or replay them synchronously within
-	// this call, so no copy is needed.
-	return c.putBlob(k, vb.Bytes())
-}
-
-// putBlob uploads one blob under the key's digest, with Put's full
-// failure discipline: retries and breaker via doIdempotent, journal
-// deferral for infrastructure failures when a local tier exists, and
-// terminal 401/403.
-func (c *Client) putBlob(k store.Key, data []byte) error {
-	span := c.startSpan("storenet.put")
-	defer span.End()
-	resp, err := c.doIdempotent(http.MethodPut, c.blobURL(k.Digest), data, span, obs.SpanContext{})
-	if err != nil {
-		// Only infrastructure failures (transport, 5xx, open breaker)
-		// defer; a rate-limit refusal is the daemon telling this tenant
-		// to slow down, and journaling the write would smuggle it past
-		// the quota at reconcile time.
-		if c.cache != nil && !errors.Is(err, ErrRateLimited) {
-			return c.deferPut(k, data, err, span)
-		}
 		return fmt.Errorf("storenet: put %s: %w", k, err)
 	}
-	c.drain(resp)
-	if resp.StatusCode == http.StatusUnauthorized || resp.StatusCode == http.StatusForbidden {
-		// Terminal: the daemon saw the request and refused the
-		// credential. Never retried (the refusal is deterministic),
-		// never deferred (the journal replay would be refused too).
-		return fmt.Errorf("storenet: put %s: %s: %w", k, resp.Status, ErrAuth)
-	}
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("storenet: put %s: %s", k, resp.Status)
-	}
-	if c.cache != nil {
-		_ = c.cache.PutRaw(k.Digest, data)
-	}
-	c.puts.Add(1)
-	return nil
+	return c.PutValidated(vb)
 }
 
-// deferPut is the degraded write path: land the blob in the local tier,
-// then journal it for replay. Both steps must succeed for the Put to
-// count as durable — a blob we could neither send nor keep is a real
-// write failure and surfaces as one (wrapping cause, the network error
-// that forced the deferral). The deferring operation's span context is
-// journaled with the marker so the eventual replay still carries the
-// originating sweep's trace ID.
-func (c *Client) deferPut(k store.Key, data []byte, cause error, span *obs.Span) error {
-	if err := c.cache.PutRaw(k.Digest, data); err != nil {
-		return fmt.Errorf("storenet: put %s: remote %v; local tier: %w", k, cause, err)
-	}
-	sc := span.Context()
-	if !sc.Valid() {
-		sc = c.traceParent()
-	}
-	if err := c.markPending(k.Digest, sc.Traceparent()); err != nil {
-		return fmt.Errorf("storenet: put %s: remote %v; journal: %w", k, cause, err)
-	}
-	span.Event("defer")
-	c.deferred.Add(1)
-	c.puts.Add(1)
-	return nil
+// PutValidated implements store.ValidatedPutter: it uploads a validated
+// container verbatim — no re-encode, no second parse; the router's
+// read-repair rides this — then writes it through to the local tier.
+// When the daemon is unreachable (store.ErrUnreachable) and a local
+// tier exists, the blob is deferred into the tier's journal instead. A
+// refusal (ErrAuth, ErrRateLimited, any other 4xx) never defers: the
+// daemon saw the request, and its replay would be refused too.
+func (c *Client) PutValidated(vb *store.ValidatedBlob) error {
+	return c.PutValidatedUnder(vb, obs.SpanContext{})
 }
 
-// markPending records a digest in the write-behind journal. O_EXCL
-// makes the marker idempotent per digest: re-deferring a blob already
-// journaled (same content, content-addressed) is a no-op and the
-// pending gauge counts files, not events. The marker body is the
-// deferring request's traceparent ("" when tracing was off) — replay
-// provenance, carried on disk across processes.
-func (c *Client) markPending(digest, traceparent string) error {
-	if err := os.MkdirAll(c.pendingDir, 0o755); err != nil {
-		return err
+// PutValidatedUnder is PutValidated parented under parent instead of
+// the ambient trace context when parent is valid: a router replaying
+// its journal carries the trace each blob was deferred in.
+func (c *Client) PutValidatedUnder(vb *store.ValidatedBlob, parent obs.SpanContext) error {
+	if !parent.Valid() {
+		parent = c.trace.Parent()
 	}
-	f, err := os.OpenFile(filepath.Join(c.pendingDir, digest+pendingSuffix),
-		os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		if os.IsExist(err) {
-			return nil
+	span := c.trace.Tracer.StartSpan("storenet.put", parent)
+	defer span.End()
+	err := c.upload(vb.Digest(), vb.Bytes(), span, parent)
+	switch {
+	case err == nil:
+		c.tier.PutValidated(vb)
+	case c.tier != nil && errors.Is(err, store.ErrUnreachable):
+		// The deferring span's context is journaled with the blob, so
+		// the eventual replay still carries the sweep's trace ID.
+		sc := span.Context()
+		if !sc.Valid() {
+			sc = parent
 		}
+		if derr := c.tier.Defer(vb, sc.Traceparent()); derr != nil {
+			return fmt.Errorf("storenet: put %s: remote %v; local tier: %w", vb.Key(), err, derr)
+		}
+		span.Event("defer")
+	default:
+		return fmt.Errorf("storenet: put %s: %w", vb.Key(), err)
+	}
+	c.puts.Add(1)
+	return nil
+}
+
+// upload PUTs one blob through doIdempotent (retries, breaker) and maps
+// the answer: 200/204 is success, 401/403 the terminal ErrAuth.
+func (c *Client) upload(digest string, data []byte, span *obs.Span, parent obs.SpanContext) error {
+	resp, err := c.doIdempotent(http.MethodPut, c.blobURL(digest), data, span, parent)
+	if err != nil {
 		return err
 	}
-	if traceparent != "" {
-		_, _ = f.WriteString(traceparent + "\n")
+	c.drain(resp)
+	switch resp.StatusCode {
+	case http.StatusNoContent, http.StatusOK:
+		return nil
+	case http.StatusUnauthorized, http.StatusForbidden:
+		return fmt.Errorf("%s: %w", resp.Status, ErrAuth)
 	}
-	f.Close()
-	c.pending.Add(1)
-	return nil
+	return errors.New(resp.Status)
 }
 
 // CanDegrade implements store.Resilient: a local tier is what degraded
 // mode degrades to.
-func (c *Client) CanDegrade() bool { return c.cache != nil }
+func (c *Client) CanDegrade() bool { return c.tier != nil }
 
-// Resilience implements store.Resilient.
+// Resilience implements store.Resilient: the client counts degraded
+// reads, its tier the journal traffic.
 func (c *Client) Resilience() store.ResilienceStats {
-	return store.ResilienceStats{
-		Degraded:   c.degraded.Load(),
-		Deferred:   c.deferred.Load(),
-		Reconciled: c.reconciled.Load(),
-		Pending:    c.pending.Load(),
-	}
+	rs := c.tier.Stats()
+	rs.Degraded = c.degraded.Load()
+	return rs
 }
 
 // Telemetry is a point-in-time snapshot of this client's wire-level
-// behavior since construction. All fields are monotonic counters
-// except Pending (a gauge). The client was previously a telemetry
-// black hole — retries, breaker edges and wire volume happened
-// silently inside doIdempotent; this is the aggregate view the stats
-// line and the Prometheus families fold in.
+// behavior since construction, all monotonic counters: the aggregate
+// view the stats line and the Prometheus families fold in. Journal
+// traffic is the local tier's (Resilience).
 type Telemetry struct {
 	// Retries counts retry attempts actually issued (attempt ≥ 2 of an
 	// idempotent request), not sleeps scheduled.
@@ -916,12 +726,6 @@ type Telemetry struct {
 	BreakerOpened   int64 `json:"breaker_opened"`
 	BreakerHalfOpen int64 `json:"breaker_half_open"`
 	BreakerClosed   int64 `json:"breaker_closed"`
-	// DeferredPuts / ReconcileReplays / Pending mirror the degraded
-	// write path: journaled write-behinds, journal entries replayed to
-	// the daemon, and journal entries currently waiting.
-	DeferredPuts     int64 `json:"deferred_puts"`
-	ReconcileReplays int64 `json:"reconcile_replays"`
-	Pending          int64 `json:"pending"`
 	// DecodePasses counts response-body validations this client ran
 	// (each is one decode of a blob container — the "validated exactly
 	// once" invariant makes this equal to remote read traffic).
@@ -936,17 +740,14 @@ type Telemetry struct {
 // Telemetry returns the client's wire-level counters.
 func (c *Client) Telemetry() Telemetry {
 	return Telemetry{
-		Retries:          c.retryCount.Load(),
-		RateLimited:      c.rateLimited.Load(),
-		BreakerOpened:    c.brOpened.Load(),
-		BreakerHalfOpen:  c.brHalfOpened.Load(),
-		BreakerClosed:    c.brClosed.Load(),
-		DeferredPuts:     c.deferred.Load(),
-		ReconcileReplays: c.reconciled.Load(),
-		Pending:          c.pending.Load(),
-		DecodePasses:     c.decodePasses.Load(),
-		BytesSent:        c.bytesSent.Load(),
-		BytesReceived:    c.bytesReceived.Load(),
+		Retries:         c.retryCount.Load(),
+		RateLimited:     c.rateLimited.Load(),
+		BreakerOpened:   c.brOpened.Load(),
+		BreakerHalfOpen: c.brHalfOpened.Load(),
+		BreakerClosed:   c.brClosed.Load(),
+		DecodePasses:    c.decodePasses.Load(),
+		BytesSent:       c.bytesSent.Load(),
+		BytesReceived:   c.bytesReceived.Load(),
 	}
 }
 
@@ -963,115 +764,46 @@ func (t Telemetry) WriteProm(w io.Writer) {
 	write("storenet_client_breaker_opened_total", "Circuit breaker open transitions.", "counter", t.BreakerOpened)
 	write("storenet_client_breaker_half_open_total", "Circuit breaker half-open probes admitted.", "counter", t.BreakerHalfOpen)
 	write("storenet_client_breaker_closed_total", "Circuit breaker close transitions.", "counter", t.BreakerClosed)
-	write("storenet_client_deferred_puts_total", "Puts journaled for write-behind replay.", "counter", t.DeferredPuts)
-	write("storenet_client_reconcile_replays_total", "Journal entries replayed to the daemon.", "counter", t.ReconcileReplays)
-	write("storenet_client_pending_puts", "Journal entries awaiting replay.", "gauge", t.Pending)
 	write("storenet_client_decode_passes_total", "Blob container validations (decodes) run.", "counter", t.DecodePasses)
 	write("storenet_client_bytes_sent_total", "Request body bytes sent.", "counter", t.BytesSent)
 	write("storenet_client_bytes_received_total", "Response body bytes received.", "counter", t.BytesReceived)
 }
 
-// Reconcile replays the write-behind journal to the daemon, returning
-// how many blobs were uploaded. It first force-closes the breaker —
-// calling Reconcile is an assertion the daemon is back, and if it is
-// not, the replay's own failures re-open the circuit and the remaining
-// markers stay journaled for the next pass. Entries whose blob has been
-// evicted from the local tier are dropped: the result is recomputable
-// on demand, and a marker with nothing to replay is debris.
-//
-// Replay is idempotent by construction: blobs are content-addressed and
-// immutable, so re-uploading one the daemon already has (e.g. a crash
-// between upload and marker removal, or a peer that raced us) stores
-// the identical bytes under the identical digest.
+// Reconcile replays the local tier's journal to the daemon, returning
+// how many blobs were uploaded. It first force-closes the breaker:
+// calling Reconcile asserts the daemon is back (if it is not, the
+// replay's failures re-open the circuit and the rest stay journaled).
+// The reset matters even without a tier — a router telling its members
+// the outage is over.
 func (c *Client) Reconcile() (int, error) {
-	c.reconcileMu.Lock()
-	defer c.reconcileMu.Unlock()
-	// The breaker reset is unconditional — the recovery assertion is
-	// meaningful even for a cache-less client with no journal to replay
-	// (a replicating router telling its members the outage is over).
 	c.br.reset()
-	if c.pendingDir == "" {
-		return 0, nil
-	}
-	entries, err := os.ReadDir(c.pendingDir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("storenet: reconcile: %w", err)
-	}
-	replayed := 0
-	for _, de := range entries {
-		name := de.Name()
-		if de.IsDir() || !strings.HasSuffix(name, pendingSuffix) {
-			continue
-		}
-		digest := strings.TrimSuffix(name, pendingSuffix)
-		marker := filepath.Join(c.pendingDir, name)
-		data, ok := c.cache.GetRaw(digest)
-		if !ok {
-			// Evicted locally: nothing to replay. Drop the marker.
-			if os.Remove(marker) == nil {
-				c.pending.Add(-1)
-			}
-			continue
-		}
-		// The marker body carries the deferring request's traceparent:
-		// replay under the same trace, so the daemon's /debug/ops ring
-		// attributes the late write to the sweep that produced it. A
-		// live tracer additionally records the replay as a span of that
-		// trace; without one the journaled header rides verbatim.
-		origin := c.markerContext(marker)
-		var span *obs.Span
-		if c.tracer != nil && origin.Valid() {
-			span = c.tracer.StartSpan("storenet.reconcile.put", origin)
-		} else {
-			span = c.startSpan("storenet.reconcile.put")
-		}
-		resp, err := c.doIdempotent(http.MethodPut, c.blobURL(digest), data, span, origin)
-		if err != nil {
-			span.SetAttr("outcome", "error")
-			span.End()
-			return replayed, fmt.Errorf("storenet: reconcile %s: %w", digest, err)
-		}
-		c.drain(resp)
-		if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-			span.SetAttr("outcome", "refused")
-			span.End()
-			return replayed, fmt.Errorf("storenet: reconcile %s: %s", digest, resp.Status)
-		}
-		if os.Remove(marker) == nil {
-			c.pending.Add(-1)
-		}
-		c.reconciled.Add(1)
-		span.SetAttr("outcome", "replayed")
-		span.End()
-		replayed++
-	}
-	if replayed > 0 {
-		c.log.Info("storenet: reconcile replayed deferred writes",
-			"base", c.base, "replayed", replayed, "pending", c.pending.Load())
-	}
-	return replayed, nil
+	return c.tier.Replay(c.replay)
 }
 
-// markerContext parses the span context a pending marker was journaled
-// with; zero when the marker predates tracing or tracing was off.
-func (c *Client) markerContext(marker string) obs.SpanContext {
-	b, err := os.ReadFile(marker)
-	if err != nil {
-		return obs.SpanContext{}
+// replay uploads one journaled blob under the trace it was deferred
+// in, so the daemon's /debug/ops ring attributes the late write to the
+// sweep that produced it; a live tracer records it as a span there.
+func (c *Client) replay(vb *store.ValidatedBlob, traceparent string) error {
+	parent, _ := obs.ParseTraceparent(traceparent)
+	if !parent.Valid() {
+		parent = c.trace.Parent()
 	}
-	sc, _ := obs.ParseTraceparent(strings.TrimSpace(string(b)))
-	return sc
+	span := c.trace.Tracer.StartSpan("storenet.reconcile.put", parent)
+	defer span.End()
+	if err := c.upload(vb.Digest(), vb.Bytes(), span, parent); err != nil {
+		span.SetAttr("outcome", "error")
+		return fmt.Errorf("storenet: reconcile %s: %w", vb.Digest(), err)
+	}
+	span.SetAttr("outcome", "replayed")
+	return nil
 }
 
 // Has probes existence without counters: local tier, then a HEAD.
 func (c *Client) Has(k store.Key) bool {
-	if c.cache != nil && c.cache.Has(k) {
+	if c.tier.Has(k) {
 		return true
 	}
-	span := c.startSpan("storenet.head")
+	span := c.trace.StartSpan("storenet.head")
 	defer span.End()
 	resp, err := c.doIdempotent(http.MethodHead, c.blobURL(k.Digest), nil, span, obs.SpanContext{})
 	if err != nil {
@@ -1084,7 +816,7 @@ func (c *Client) Has(k store.Key) bool {
 // Index lists the daemon's manifest — the fleet-wide view, not the
 // local tier's subset. Degrades to empty on failure.
 func (c *Client) Index() []store.ManifestEntry {
-	span := c.startSpan("storenet.index")
+	span := c.trace.StartSpan("storenet.index")
 	defer span.End()
 	resp, err := c.doIdempotent(http.MethodGet, c.base+apiPrefix+"/index", nil, span, obs.SpanContext{})
 	if err != nil {
@@ -1110,7 +842,7 @@ func (c *Client) Len() int {
 // Stats fetches the daemon's stats endpoint.
 func (c *Client) Stats() (Stats, error) {
 	var st Stats
-	span := c.startSpan("storenet.stats")
+	span := c.trace.StartSpan("storenet.stats")
 	defer span.End()
 	resp, err := c.doIdempotent(http.MethodGet, c.base+apiPrefix+"/stats", nil, span, obs.SpanContext{})
 	if err != nil {
@@ -1151,7 +883,7 @@ func (c *Client) TryAcquire(digest, owner string, ttl time.Duration) (store.Leas
 	if ttl <= 0 {
 		return nil, false, fmt.Errorf("storenet: non-positive lease ttl %v", ttl)
 	}
-	span := c.startSpan("storenet.lease.acquire")
+	span := c.trace.StartSpan("storenet.lease.acquire")
 	defer span.End()
 	resp, err := c.doOnce(c.leaseURL(digest, "acquire"), acquireRequest{Owner: owner, TTLNs: int64(ttl)}, span)
 	if err != nil {
@@ -1184,7 +916,7 @@ func (c *Client) TryAcquire(digest, owner string, ttl time.Duration) (store.Leas
 
 // LeaseHolder peeks at a digest's live claim via the daemon.
 func (c *Client) LeaseHolder(digest string) (string, bool) {
-	span := c.startSpan("storenet.lease.peek")
+	span := c.trace.StartSpan("storenet.lease.peek")
 	defer span.End()
 	resp, err := c.doIdempotent(http.MethodGet, c.leaseURL(digest, ""), nil, span, obs.SpanContext{})
 	if err != nil {
@@ -1203,7 +935,7 @@ func (c *Client) LeaseHolder(digest string) (string, bool) {
 // (it is an ordinary *store.Store).
 func (c *Client) GC(p store.GCPolicy) (store.GCStats, error) {
 	var gs store.GCStats
-	span := c.startSpan("storenet.gc")
+	span := c.trace.StartSpan("storenet.gc")
 	defer span.End()
 	resp, err := c.doOnce(c.base+apiPrefix+"/gc", gcRequest{
 		MaxBytes: p.MaxBytes,
@@ -1252,7 +984,7 @@ func (l *remoteLease) Stolen() bool  { return l.stolen }
 // holder keeps computing and at worst one peer duplicates the shard,
 // writing identical bytes.
 func (l *remoteLease) Renew(ttl time.Duration) error {
-	span := l.c.startSpan("storenet.lease.renew")
+	span := l.c.trace.StartSpan("storenet.lease.renew")
 	defer span.End()
 	resp, err := l.c.doOnce(l.c.leaseURL(l.digest, "renew"),
 		renewRequest{Owner: l.owner, Token: l.token, TTLNs: int64(ttl)}, span)
@@ -1268,7 +1000,7 @@ func (l *remoteLease) Renew(ttl time.Duration) error {
 
 // Release drops the claim, best-effort and idempotent.
 func (l *remoteLease) Release() error {
-	span := l.c.startSpan("storenet.lease.release")
+	span := l.c.trace.StartSpan("storenet.lease.release")
 	defer span.End()
 	resp, err := l.c.doOnce(l.c.leaseURL(l.digest, "release"),
 		releaseRequest{Owner: l.owner, Token: l.token}, span)

@@ -24,6 +24,9 @@
 //     content-addressed, so duplicated work writes identical bytes.
 //   - Index, Len, Stats and GC fan out to every member and merge
 //     (Index dedups by digest; GC sums per-member passes).
+//   - A local store.Tier (Options.Local) is read and written through;
+//     a Put no replica is reachable for lands in its journal, replayed
+//     by Reconcile or by the next Put a member accepts.
 //
 // Safety rests on the store's two invariants: blobs are immutable per
 // digest (replicas can disagree about presence, never content — so
@@ -62,10 +65,9 @@ type Options struct {
 	Replication int
 	// VirtualNodes is the ring points per member; 0 means 64.
 	VirtualNodes int
-	// Local, when non-nil, is a read-through local tier: Gets check it
-	// first, remote hits heal it (validated bytes verbatim), Puts write
-	// through to it. Purely acceleration, bounded by its own owner —
-	// router GC never touches it.
+	// Local, when non-nil, is the directory of the local store.Tier:
+	// read and written through, and the journal of Puts no replica was
+	// reachable for. Router GC never touches it.
 	Local *store.Store
 	// Seed derives the scrubber's start jitter, so a fleet of routers
 	// with distinct seeds desynchronises its anti-entropy passes while
@@ -88,6 +90,7 @@ type member struct {
 	health HealthReporter        // nil: always healthy
 	vget   store.ValidatedGetter // nil: fall back to Get
 	vput   store.ValidatedPutter // nil: fall back to Put
+	tput   tracedPutter          // nil: replays carry the ambient trace
 	tctx   obs.TraceContextSetter
 }
 
@@ -97,15 +100,14 @@ type Router struct {
 	members []member
 	ring    ring
 	rf      int
-	local   *store.Store
-	tracer  *obs.Tracer
-	tctx    atomic.Pointer[obs.SpanContext]
+	tier    *store.Tier // nil without Options.Local
+	trace   obs.Ambient
 	log     *slog.Logger
 
 	// jstate seeds the scrubber's jitter draws (splitmix64 state).
 	jstate atomic.Uint64
 
-	hits, misses, corrupt, puts atomic.Int64
+	hits, misses, puts atomic.Int64
 
 	failovers, underPuts      atomic.Int64
 	readRepairs, scrubRepairs atomic.Int64
@@ -140,8 +142,8 @@ func New(members []store.Backend, opts Options) (*Router, error) {
 	r := &Router{
 		members: make([]member, 0, len(members)),
 		rf:      rf,
-		local:   opts.Local,
-		tracer:  opts.Tracer,
+		tier:    store.NewTier(opts.Local),
+		trace:   obs.Ambient{Tracer: opts.Tracer},
 		log:     logger,
 	}
 	r.jstate.Store(opts.Seed ^ 0x9e3779b97f4a7c15)
@@ -158,6 +160,7 @@ func New(members []store.Backend, opts Options) (*Router, error) {
 		m.health, _ = b.(HealthReporter)
 		m.vget, _ = b.(store.ValidatedGetter)
 		m.vput, _ = b.(store.ValidatedPutter)
+		m.tput, _ = b.(tracedPutter)
 		m.tctx, _ = b.(obs.TraceContextSetter)
 		r.members = append(r.members, m)
 	}
@@ -166,7 +169,12 @@ func New(members []store.Backend, opts Options) (*Router, error) {
 }
 
 // Location implements Backend: the replica factor plus every member.
+// A router of one is located where its member is, so a single daemon
+// is named by its URL.
 func (r *Router) Location() string {
+	if len(r.members) == 1 {
+		return r.members[0].id
+	}
 	ids := make([]string, len(r.members))
 	for i, m := range r.members {
 		ids[i] = m.id
@@ -194,30 +202,12 @@ func (r *Router) Replicas(digest string) []string {
 // context (a fleet sweep installing its root context on the router
 // reaches each member client's wire spans through this).
 func (r *Router) SetTraceContext(sc obs.SpanContext) {
-	if sc.Valid() {
-		r.tctx.Store(&sc)
-	} else {
-		r.tctx.Store(nil)
-	}
+	r.trace.SetTraceContext(sc)
 	for _, m := range r.members {
 		if m.tctx != nil {
 			m.tctx.SetTraceContext(sc)
 		}
 	}
-}
-
-func (r *Router) traceParent() obs.SpanContext {
-	if p := r.tctx.Load(); p != nil {
-		return *p
-	}
-	return obs.SpanContext{}
-}
-
-func (r *Router) startSpan(op string) *obs.Span {
-	if r.tracer == nil {
-		return nil
-	}
-	return r.tracer.StartSpan(op, r.traceParent())
 }
 
 // healthy reports whether member mi should be offered traffic.
@@ -245,12 +235,21 @@ func (r *Router) memberGet(mi int, k store.Key) (*store.ValidatedBlob, *core.Res
 	return nil, res, ok
 }
 
+// tracedPutter is the optional member write a journal replay parents
+// under the trace its blob was deferred in (storenet.Client has it).
+type tracedPutter interface {
+	PutValidatedUnder(vb *store.ValidatedBlob, parent obs.SpanContext) error
+}
+
 // memberPut writes one replica: validated bytes verbatim when both
-// sides support the proof-carrying handoff, an ordinary re-encoding Put
-// otherwise.
-func (r *Router) memberPut(mi int, k store.Key, vb *store.ValidatedBlob, res *core.Result) error {
+// sides support the proof-carrying handoff (under parent, when valid
+// and the member can carry it), an ordinary re-encoding Put otherwise.
+func (r *Router) memberPut(mi int, k store.Key, vb *store.ValidatedBlob, res *core.Result, parent obs.SpanContext) error {
 	m := r.members[mi]
-	if vb != nil && m.vput != nil {
+	switch {
+	case vb != nil && parent.Valid() && m.tput != nil:
+		return m.tput.PutValidatedUnder(vb, parent)
+	case vb != nil && m.vput != nil:
 		return m.vput.PutValidated(vb)
 	}
 	return m.b.Put(k, res)
@@ -263,13 +262,11 @@ func (r *Router) memberPut(mi int, k store.Key, vb *store.ValidatedBlob, res *co
 // scrubber. A miss everywhere is a miss — reads degrade, per the
 // Backend contract.
 func (r *Router) Get(k store.Key) (*core.Result, bool) {
-	if r.local != nil {
-		if res, ok := r.local.Get(k); ok {
-			r.hits.Add(1)
-			return res, true
-		}
+	if vb, ok := r.tier.GetValidated(k.Digest); ok {
+		r.hits.Add(1)
+		return vb.Result(), true
 	}
-	span := r.startSpan("router.get")
+	span := r.trace.StartSpan("router.get")
 	defer span.End()
 	order := r.ring.order(k.Digest)
 	var absent []int // preferred members that answered "absent" before the hit
@@ -291,9 +288,8 @@ func (r *Router) Get(k store.Key) (*core.Result, bool) {
 		span.SetAttr("member", r.members[mi].id)
 		span.SetAttr("outcome", "hit")
 		r.readRepair(k, vb, res, absent)
-		if r.local != nil && vb != nil {
-			// Best-effort heal of the local tier, wire bytes verbatim.
-			_ = r.local.PutValidated(vb)
+		if vb != nil {
+			r.tier.PutValidated(vb)
 		}
 		r.hits.Add(1)
 		return res, true
@@ -314,7 +310,7 @@ func (r *Router) readRepair(k store.Key, vb *store.ValidatedBlob, res *core.Resu
 		if !r.healthy(mi) {
 			continue
 		}
-		if err := r.memberPut(mi, k, vb, res); err != nil {
+		if err := r.memberPut(mi, k, vb, res, obs.SpanContext{}); err != nil {
 			r.log.Warn("router: read-repair failed",
 				"digest", k.Digest, "member", r.members[mi].id, "err", err)
 			continue
@@ -327,28 +323,53 @@ func (r *Router) readRepair(k store.Key, vb *store.ValidatedBlob, res *core.Resu
 	}
 }
 
-// Put writes to the first R healthy replicas on the ring. The container
-// is encoded and validated once here; each member then takes the
-// verbatim-bytes path (no per-member re-encode). At least one replica
-// write must land — the blob is then durable and recomputation-free —
-// and landing fewer than R counts the Put under-replicated, debt the
-// next Get's read-repair or the scrubber pays off. With every preferred
-// member unhealthy the preferred set is attempted anyway: surfacing the
-// members' real errors beats inventing one.
+// Put encodes and validates the container once, replicates it, and
+// writes it through to the local tier. When no replica accepted it and
+// every one failed on infrastructure (store.ErrUnreachable), a router
+// with a local tier defers it into the tier's journal instead of
+// failing; a member refusal (auth, quota, a bad blob) fails the Put.
 func (r *Router) Put(k store.Key, res *core.Result) error {
-	if res == nil {
-		return fmt.Errorf("router: nil result for %s", k)
+	vb, err := store.EncodeValidated(k, res)
+	if err != nil {
+		return fmt.Errorf("router: put %s: %w", k, err)
 	}
-	span := r.startSpan("router.put")
+	span := r.trace.StartSpan("router.put")
 	defer span.End()
-	data, err := store.EncodeBlobV3(k, res)
-	if err != nil {
-		return fmt.Errorf("router: encode %s: %w", k, err)
+	errs := r.replicate(vb, span, obs.SpanContext{})
+	deferrable := r.tier != nil && errs != nil
+	for _, err := range errs {
+		deferrable = deferrable && errors.Is(err, store.ErrUnreachable)
 	}
-	vb, err := store.ValidateBlobBytes(data, k.Digest)
-	if err != nil {
-		return fmt.Errorf("router: validate %s: %w", k, err)
+	switch {
+	case errs == nil:
+		r.tier.PutValidated(vb)
+		// A member answered: replay whatever an outage left journaled.
+		r.tier.ReplayInBackground(r.replay)
+		span.SetAttr("outcome", "ok")
+	case deferrable:
+		if err := r.tier.Defer(vb, span.Context().Traceparent()); err != nil {
+			span.SetAttr("outcome", "error")
+			return fmt.Errorf("router: put %s: no replica reachable: %v; local tier: %w",
+				k, errors.Join(errs...), err)
+		}
+		span.SetAttr("outcome", "deferred")
+	default:
+		span.SetAttr("outcome", "error")
+		return fmt.Errorf("router: put %s: no replica accepted: %w", k, errors.Join(errs...))
 	}
+	r.puts.Add(1)
+	return nil
+}
+
+// replicate writes one blob to the first R healthy replicas on the
+// ring: nil once at least one accepted it (the blob is durable), every
+// replica's error otherwise. Fewer than R counts the write
+// under-replicated, debt read-repair or the scrubber pays off. With
+// every preferred member unhealthy the preferred set is attempted
+// anyway: surfacing the members' real errors beats inventing one.
+// parent, when valid, is the trace the member writes carry.
+func (r *Router) replicate(vb *store.ValidatedBlob, span *obs.Span, parent obs.SpanContext) []error {
+	k, res := vb.Key(), vb.Result()
 	order := r.ring.order(k.Digest)
 	targets := make([]int, 0, r.rf)
 	for pos, mi := range order {
@@ -367,31 +388,33 @@ func (r *Router) Put(k store.Key, res *core.Result) error {
 	if len(targets) == 0 {
 		targets = append(targets, order[:r.rf]...)
 	}
-	wrote := 0
 	var errs []error
 	for _, mi := range targets {
-		if err := r.memberPut(mi, k, vb, res); err != nil {
+		if err := r.memberPut(mi, k, vb, res, parent); err != nil {
 			errs = append(errs, fmt.Errorf("%s: %w", r.members[mi].id, err))
-			r.pendingRepairs.Add(1)
-			continue
 		}
-		wrote++
 	}
+	wrote := len(targets) - len(errs)
 	if wrote == 0 {
-		span.SetAttr("outcome", "error")
-		return fmt.Errorf("router: put %s: no replica accepted: %w", k, errors.Join(errs...))
+		return errs
 	}
 	if wrote < r.rf {
+		r.pendingRepairs.Add(int64(len(errs)))
 		r.underPuts.Add(1)
 		span.Event("under-replicated")
 		r.log.Warn("router: put under-replicated",
 			"digest", k.Digest, "wrote", wrote, "want", r.rf, "err", errors.Join(errs...))
 	}
-	if r.local != nil {
-		_ = r.local.PutValidated(vb)
+	return nil
+}
+
+// replay is the tier journal's put: one deferred blob through the
+// normal replica write, under the trace it was deferred in.
+func (r *Router) replay(vb *store.ValidatedBlob, traceparent string) error {
+	origin, _ := obs.ParseTraceparent(traceparent)
+	if errs := r.replicate(vb, nil, origin); errs != nil {
+		return fmt.Errorf("router: replay %s: %w", vb.Key(), errors.Join(errs...))
 	}
-	r.puts.Add(1)
-	span.SetAttr("outcome", "ok")
 	return nil
 }
 
@@ -399,7 +422,7 @@ func (r *Router) Put(k store.Key, res *core.Result) error {
 // skipped (its replica may still exist, but Has answers about what is
 // reachable now, matching Get).
 func (r *Router) Has(k store.Key) bool {
-	if r.local != nil && r.local.Has(k) {
+	if r.tier.Has(k) {
 		return true
 	}
 	for _, mi := range r.ring.order(k.Digest) {
@@ -418,7 +441,7 @@ func (r *Router) Has(k store.Key) bool {
 // fleet that has no arbiter left (or degrade it, under the fleet's
 // policy, to unleased recompute).
 func (r *Router) TryAcquire(digest, owner string, ttl time.Duration) (store.LeaseHandle, bool, error) {
-	span := r.startSpan("router.lease.acquire")
+	span := r.trace.StartSpan("router.lease.acquire")
 	defer span.End()
 	var lastErr error
 	for pos, mi := range r.ring.order(digest) {
@@ -487,12 +510,17 @@ func (r *Router) Index() []store.ManifestEntry {
 func (r *Router) Len() int { return len(r.Index()) }
 
 // Counters reports this router's traffic (logical operations, not the
-// per-replica fan-out).
+// per-replica fan-out), except Corrupt: the corrupt reads its members
+// and local tier detected, as the router validates nothing itself.
 func (r *Router) Counters() store.Counters {
+	corrupt := r.tier.Counters().Corrupt
+	for _, m := range r.members {
+		corrupt += m.b.Counters().Corrupt
+	}
 	return store.Counters{
 		Hits:    r.hits.Load(),
 		Misses:  r.misses.Load(),
-		Corrupt: r.corrupt.Load(),
+		Corrupt: corrupt,
 		Puts:    r.puts.Load(),
 	}
 }
@@ -503,7 +531,7 @@ func (r *Router) Counters() store.Counters {
 // member. Write discipline: every member is attempted, all errors
 // surface joined.
 func (r *Router) GC(p store.GCPolicy) (store.GCStats, error) {
-	span := r.startSpan("router.gc")
+	span := r.trace.StartSpan("router.gc")
 	defer span.End()
 	var total store.GCStats
 	var errs []error
@@ -577,26 +605,27 @@ func (r *Router) ReplicationStats() store.ReplicationStats {
 
 // CanDegrade implements store.Resilient: redundancy is what the router
 // degrades to — any single member outage is absorbed by the remaining
-// replicas (and the local tier, when one exists).
-func (r *Router) CanDegrade() bool { return len(r.members) > 1 || r.local != nil }
+// replicas — and the local tier's journal absorbs a total one.
+func (r *Router) CanDegrade() bool { return len(r.members) > 1 || r.tier != nil }
 
 // Resilience implements store.Resilient, mapping replication traffic
 // onto the degraded-mode vocabulary fleet reports already speak:
 // Degraded is operations that routed around a member (failovers),
 // Deferred is Puts that landed under-replicated (durable, repair owed),
 // Reconciled is replicas healed (read-repair + scrub), Pending is
-// replica slots still owed. Member-level journal traffic (a tiered
-// member client) folds in on top.
+// replica slots still owed. The local tier's journal traffic and the
+// members' own fold in on top.
 func (r *Router) Resilience() store.ResilienceStats {
 	pending := r.pendingRepairs.Load()
 	if pending < 0 {
 		pending = 0
 	}
+	ts := r.tier.Stats()
 	rs := store.ResilienceStats{
 		Degraded:   r.failovers.Load(),
-		Deferred:   r.underPuts.Load(),
-		Reconciled: r.readRepairs.Load() + r.scrubRepairs.Load(),
-		Pending:    pending,
+		Deferred:   r.underPuts.Load() + ts.Deferred,
+		Reconciled: r.readRepairs.Load() + r.scrubRepairs.Load() + ts.Reconciled,
+		Pending:    pending + ts.Pending,
 	}
 	for _, m := range r.members {
 		if res, ok := m.b.(store.Resilient); ok {
@@ -612,9 +641,10 @@ func (r *Router) Resilience() store.ResilienceStats {
 
 // Reconcile implements store.Resilient: every resilient member replays
 // its journal (a member client's Reconcile also force-closes its
-// breaker — the recovery assertion after an outage ends), then one
+// breaker — the recovery assertion after an outage ends), the local
+// tier's journal replays through the normal replica write, then one
 // scrub pass repairs the under-replication the outage left behind.
-// Returns member replays plus replicas repaired.
+// Returns member and tier replays plus replicas repaired.
 func (r *Router) Reconcile() (int, error) {
 	n := 0
 	var errs []error
@@ -626,6 +656,11 @@ func (r *Router) Reconcile() (int, error) {
 				errs = append(errs, fmt.Errorf("%s: %w", m.id, err))
 			}
 		}
+	}
+	k, err := r.tier.Replay(r.replay)
+	n += k
+	if err != nil {
+		errs = append(errs, err)
 	}
 	st, err := r.Scrub()
 	if err != nil {

@@ -346,3 +346,28 @@ func TestLocalTierReadThrough(t *testing.T) {
 		t.Fatal("a replicated router must advertise CanDegrade")
 	}
 }
+
+// TestCorruptMemberReadCounts: a member's corrupt blob is a miss, and
+// the router's Counters report the corruption its members detected.
+func TestCorruptMemberReadCounts(t *testing.T) {
+	members, dirs, _ := openMembers(t, 2)
+	r, err := New(members, Options{Replication: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := conformancetest.Key(t, 7)
+	if err := r.Put(k, conformancetest.Result(7)); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		if err := os.WriteFile(filepath.Join(dir, k.Digest+".json"), []byte("not a blob"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := r.Get(k); ok {
+		t.Fatal("Get served a corrupt blob")
+	}
+	if c := r.Counters(); c.Corrupt < 1 {
+		t.Fatalf("router Counters = %+v, want Corrupt ≥ 1", c)
+	}
+}

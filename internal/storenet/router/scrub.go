@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"golatest/internal/core"
+	"golatest/internal/obs"
 	"golatest/internal/store"
 )
 
@@ -38,7 +39,7 @@ type ScrubStats struct {
 // Failed and stays; the next pass retries. The pending-repairs gauge is
 // recomputed exactly from what this pass observed.
 func (r *Router) Scrub() (ScrubStats, error) {
-	span := r.startSpan("router.scrub")
+	span := r.trace.StartSpan("router.scrub")
 	defer span.End()
 	var st ScrubStats
 
@@ -99,7 +100,7 @@ func (r *Router) Scrub() (ScrubStats, error) {
 				pending++
 				continue
 			}
-			if err := r.memberPut(mi, k, vb, res); err != nil {
+			if err := r.memberPut(mi, k, vb, res, obs.SpanContext{}); err != nil {
 				st.Failed++
 				pending++
 				errs = append(errs, fmt.Errorf("router: scrub %s -> %s: %w", digest, r.members[mi].id, err))

@@ -65,6 +65,11 @@ go test -race -count 2 \
 	-run 'TestBreaker|TestDeferredPutReconciles|TestJournalSurvivesProcessRestart|TestBackgroundReconcileOnRecovery|TestSweepSurvivesStoredOutage' \
 	./internal/storenet
 go test -race -count 2 -run 'TestSweepDegrade|TestSweepAutoPolicy|TestResolvePolicy' ./internal/fleet
+# The router defers to the same local tier and journal (store.Tier) as
+# the client; its outage, restart, recovery and refusal cases race here
+# too, and so do both CLI outage stories (one URL, a URL list).
+go test -race -count 2 -run 'TestRouterDegraded|TestCorruptMemberReadCounts' ./internal/storenet/router
+go test -race -count 2 -run 'TestDegradedRunThenReconcile|TestStoreURLListDegradedThenReconcile' ./cmd/experiments
 
 echo "== go test -race (v3 compatibility pin + legacy blobs are misses) =="
 # The pin decodes v3 blobs an earlier encoder wrote (testdata/*.v3) and
