@@ -137,7 +137,7 @@ func run(args []string, out io.Writer) error {
 		only      = fs.String("only", "", "comma-separated artefact ids (default all)")
 		outDir    = fs.String("out", "results", "output directory")
 		seed      = fs.Uint64("seed", 2025, "campaign seed")
-		parallel  = fs.Int("parallel", 0, "concurrent pair campaigns per sweep (0 = one per CPU, 1 = serial; results are identical at every setting)")
+		parallel  = fs.Int("parallel", 0, "concurrent pair campaigns per sweep (0 = one per CPU, 1 = one pair campaign at a time; kernel blocks always use every core; results are identical at every setting)")
 		cacheDir  = fs.String("cache-dir", "", "persist campaign results as content-addressed blobs in this directory; warm re-runs recompute nothing")
 		storeURL  = fs.String("store-url", "", "use stored daemon(s) as the campaign store: one base URL (e.g. http://host:8417), or a comma-separated list to replicate across a consistent-hashing router; every URL list is a router (one URL: a router of one); with -cache-dir the directory becomes the local tier, written through and journaling writes no daemon can take")
 		replicas  = fs.Int("replication", 2, "with a multi-member -store-url list: copies of each campaign blob to keep (clamped to the member count)")

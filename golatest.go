@@ -44,8 +44,12 @@
 // identical at every parallelism level — including Parallelism=1 — and
 // independent of worker scheduling. Phase 1 and the capture-bound probe
 // run on the primary device before the sweep; within one device, kernels
-// and the virtual clock remain single-threaded, mirroring the one host
-// thread that drives the real benchmark.
+// and the virtual clock remain single-threaded from the caller's view,
+// mirroring the one host thread that drives the real benchmark. Below
+// that view the simulator materialises a kernel's SM blocks on up to
+// GOMAXPROCS goroutines; each block has its own random stream, derived
+// in block order before any block runs, so this too is bit-identical at
+// every GOMAXPROCS. Config.Parallelism bounds pair campaigns only.
 //
 // Warm-up and phase-1 kernels stream their iteration timings into
 // reusable Welford accumulators (see gpu.TailStats and gpu.StreamStats)

@@ -128,7 +128,10 @@ type Config struct {
 	// Each pair runs on an independent device replica seeded
 	// deterministically from (Seed, pair), so results are bit-for-bit
 	// identical at every setting — parallelism only changes wall clock.
-	// Zero means one worker per available CPU; 1 restores a serial sweep.
+	// Zero means one worker per available CPU; 1 runs one pair campaign
+	// at a time. It bounds pair campaigns only: the simulator always runs
+	// a kernel's SM blocks on up to GOMAXPROCS cores, with identical
+	// results.
 	Parallelism int
 }
 

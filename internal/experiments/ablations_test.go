@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -99,5 +101,25 @@ func TestCoreCountStudy(t *testing.T) {
 	// width (the paper's footnote 1, in its strongest form).
 	if small.CIAcceptedShare > 0.3 || wide.CIAcceptedShare > 0.3 {
 		t.Fatalf("CI band unexpectedly viable: %+v", rows)
+	}
+}
+
+// TestCoreCountStudyIdenticalAcrossGOMAXPROCS runs the core-count
+// ablation's 16-SM campaign, whose kernels fan their blocks out across
+// cores, with one core and with four: the rows must be identical.
+func TestCoreCountStudyIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	serial, err := CoreCountStudy([]int{16}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(4)
+	concurrent, err := CoreCountStudy([]int{16}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(serial, concurrent) {
+		t.Fatalf("rows differ:\nGOMAXPROCS=1: %+v\nGOMAXPROCS=4: %+v", serial, concurrent)
 	}
 }

@@ -59,8 +59,9 @@ type Options struct {
 	Seed uint64
 	// Parallelism is handed down to every campaign's core.Config: it
 	// bounds how many pair campaigns each campaign sweeps concurrently.
-	// Zero means one worker per CPU, 1 forces serial sweeps. Campaign
-	// results are identical at every setting.
+	// Zero means one worker per CPU, 1 one pair campaign at a time.
+	// Kernel blocks always run on up to GOMAXPROCS cores whatever the
+	// setting. Campaign results are identical at every setting.
 	Parallelism int
 	// Store, when non-nil, persists campaign results across processes as
 	// content-addressed blobs: Campaign consults it before computing and

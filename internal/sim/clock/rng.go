@@ -3,6 +3,7 @@ package clock
 import (
 	"math"
 	"math/rand/v2"
+	"unsafe"
 )
 
 // Rand is the simulator's deterministic random stream.
@@ -12,16 +13,27 @@ import (
 // one component never perturbs another — a requirement for the
 // measured-vs-injected validation tests, which re-run campaigns with the
 // same seed and expect bit-identical device behaviour.
+//
+// A Rand is one allocation padded to whole cache lines, so streams drawn
+// from on different cores (the simulator runs a kernel's SM blocks
+// concurrently, one stream each) never share a line. It must not be
+// copied: src draws from the pcg field of the Rand it was built in.
 type Rand struct {
-	src *rand.Rand
-	pcg *rand.PCG // retained so ChildInto can re-seed in place
+	src rand.Rand
+	pcg rand.PCG // retained so Reseed can restart the stream in place
+	_   [cacheLine - unsafe.Sizeof(rand.Rand{}) - unsafe.Sizeof(rand.PCG{})]byte
 }
+
+// cacheLine is the coherence granule Rand is padded to.
+const cacheLine = 64
 
 // NewRand returns a stream seeded from the two 64-bit words.
 // The same (seed1, seed2) always produces the same draw sequence.
 func NewRand(seed1, seed2 uint64) *Rand {
-	pcg := rand.NewPCG(seed1, seed2)
-	return &Rand{src: rand.New(pcg), pcg: pcg}
+	r := new(Rand)
+	r.pcg.Seed(seed1, seed2)
+	r.src = *rand.New(&r.pcg)
+	return r
 }
 
 // SplitMix64 is the SplitMix64 finaliser: it spreads structured inputs
@@ -35,32 +47,32 @@ func SplitMix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// childSeeds derives the PCG seed words of the child stream labelled by
-// tag, advancing the parent by one draw. The tag is mixed through
-// SplitMix64 so that small consecutive tags give well-separated seeds.
-func (r *Rand) childSeeds(tag uint64) (uint64, uint64) {
+// Seed is the pair of PCG words a stream starts from. ChildSeed hands
+// it out so a caller can derive many child streams in a fixed order and
+// start each one later, on whichever goroutine runs it.
+type Seed struct{ s1, s2 uint64 }
+
+// ChildSeed returns the seed of the child stream labelled by tag,
+// advancing the parent by one draw. The tag is mixed through SplitMix64
+// so that small consecutive tags give well-separated seeds.
+func (r *Rand) ChildSeed(tag uint64) Seed {
 	z := SplitMix64(tag)
-	return r.src.Uint64() ^ z, z
+	return Seed{r.src.Uint64() ^ z, z}
 }
 
 // Child derives an independent stream labelled by the given tag.
 // Distinct tags yield streams that do not share state with the parent or
 // with each other.
 func (r *Rand) Child(tag uint64) *Rand {
-	s1, s2 := r.childSeeds(tag)
-	return NewRand(s1, s2)
+	s := r.ChildSeed(tag)
+	return NewRand(s.s1, s.s2)
 }
 
-// ChildInto re-seeds scratch to the exact draw sequence Child(tag) would
-// return, without allocating. It exists for the simulator's per-kernel
-// and per-SM streams, which the hot materialisation path derives
-// thousands of times per campaign; a caller-owned scratch stream absorbs
-// them all. scratch must come from NewRand and must not be the receiver.
-func (r *Rand) ChildInto(scratch *Rand, tag uint64) *Rand {
-	s1, s2 := r.childSeeds(tag)
-	scratch.pcg.Seed(s1, s2)
-	return scratch
-}
+// Reseed restarts r in place at seed s, without allocating: afterwards r
+// draws exactly the sequence of the stream ChildSeed described. It
+// exists for the simulator's per-kernel and per-SM streams, which the
+// hot materialisation path derives thousands of times per campaign.
+func (r *Rand) Reseed(s Seed) { r.pcg.Seed(s.s1, s.s2) }
 
 // Float64 returns a uniform draw in [0, 1).
 func (r *Rand) Float64() float64 { return r.src.Float64() }

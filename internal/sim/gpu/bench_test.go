@@ -9,26 +9,33 @@ import (
 // BenchmarkKernelMaterialization measures the simulator's hot path: the
 // per-iteration timeline integration across a mid-kernel clock change.
 func BenchmarkKernelMaterialization(b *testing.B) {
-	benchKernel(b, nil)
+	benchKernel(b, 4, nil)
 }
 
 // BenchmarkKernelMaterializationTailSink runs the same kernel into the
 // warm-up check's tail-only sink, which skips timestamping every
 // iteration before each block's last 100.
 func BenchmarkKernelMaterializationTailSink(b *testing.B) {
-	benchKernel(b, NewTailStats(100))
+	benchKernel(b, 4, NewTailStats(100))
 }
 
-// benchKernel launches a 2000-iteration, 4-block kernel with a clock
-// change 5 ms in, materialised when tail is nil and streamed into tail
-// otherwise.
-func benchKernel(b *testing.B, tail *TailStats) {
+// BenchmarkKernelMaterialization64Blocks materialises the same kernel on
+// a 64-SM device, one block per SM: the shape of the core-count
+// ablation's widest device, whose blocks run on every available core.
+func BenchmarkKernelMaterialization64Blocks(b *testing.B) {
+	benchKernel(b, 64, nil)
+}
+
+// benchKernel launches a 2000-iteration kernel, one block per SM on a
+// device with sms SMs, with a clock change 5 ms in, materialised when
+// tail is nil and streamed into tail otherwise.
+func benchKernel(b *testing.B, sms int, tail *TailStats) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		clk := clock.New()
 		d, err := New(Config{
 			Name:     "bench-gpu",
-			SMCount:  4,
+			SMCount:  sms,
 			FreqsMHz: []float64{600, 1200},
 			Latency:  fixedModel{bus: 50_000, dur: 10_000_000},
 			Seed:     uint64(i),

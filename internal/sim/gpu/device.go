@@ -3,6 +3,9 @@ package gpu
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"golatest/internal/sim/clock"
 )
@@ -26,8 +29,12 @@ func (in Injection) SwitchingLatencyNs() int64 { return in.CompleteNs - in.Reque
 // Device is one simulated accelerator attached to a host virtual clock.
 //
 // A Device is not safe for concurrent use, matching the single-threaded
-// host loop that drives the benchmark; analysis of returned samples may
-// be parallelised freely since samples are plain values.
+// host loop that drives the benchmark: callers see a single-threaded
+// device. Internally, Synchronize runs a kernel's SM blocks on up to
+// GOMAXPROCS goroutines (see materialize); that is invisible to callers,
+// whose results are bit-identical at any GOMAXPROCS. Analysis of
+// returned samples may be parallelised freely since samples are plain
+// values.
 type Device struct {
 	cfg Config
 	clk *clock.Clock
@@ -48,12 +55,6 @@ type Device struct {
 	busyEndNs int64
 	everBusy  bool
 	queue     []*Kernel
-
-	// kernelScratch and smScratch are the reusable child streams of the
-	// materialisation path (one kernel, one SM at a time), re-seeded in
-	// place so per-kernel RNG derivation never allocates.
-	kernelScratch *clock.Rand
-	smScratch     *clock.Rand
 }
 
 // New constructs a device from cfg (normalised internally) bound to the
@@ -64,11 +65,9 @@ func New(cfg Config, clk *clock.Clock) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		cfg:           cfg,
-		clk:           clk,
-		rng:           clock.NewRand(cfg.Seed, 0x6c6174657374), // "latest"
-		kernelScratch: clock.NewRand(0, 0),
-		smScratch:     clock.NewRand(0, 0),
+		cfg: cfg,
+		clk: clk,
+		rng: clock.NewRand(cfg.Seed, 0x6c6174657374), // "latest"
 	}
 	d.tl = newTimeline(clk.Now(), cfg.DefaultFreqMHz)
 	d.setFreq = cfg.DefaultFreqMHz
@@ -247,8 +246,12 @@ func (d *Device) LaunchWithSink(spec KernelSpec, sink SampleSink) (*Kernel, erro
 // state advances, throttles latch, and the host clock lands on the final
 // completion time.
 func (d *Device) Synchronize() {
-	for _, k := range d.queue {
-		d.materialize(k)
+	if len(d.queue) > 0 {
+		fan := fanoutPool.Get().(*fanout)
+		for _, k := range d.queue {
+			d.materialize(k, fan)
+		}
+		fanoutPool.Put(fan)
 	}
 	d.queue = d.queue[:0]
 	if d.busyEndNs > d.clk.Now() {
@@ -259,8 +262,56 @@ func (d *Device) Synchronize() {
 // Pending reports the number of launched, not-yet-synchronised kernels.
 func (d *Device) Pending() int { return len(d.queue) }
 
+// fanout is the scratch state of one kernel's block fan-out. It is
+// leased from fanoutPool for one Synchronize, so its sink buffers and
+// streams are reused across kernels and devices.
+type fanout struct {
+	// The kernel and its host start and wake-window end ride here rather
+	// than in the worker closures, which keeps each closure allocation
+	// small.
+	k              *Kernel
+	start, wakeEnd int64
+
+	kernel *clock.Rand    // the kernel stream the block seeds come from
+	seeds  []clock.Seed   // each block's stream, derived in block order
+	out    [][]IterSample // each block's samples, from its first wanted iteration on
+	ends   []int64        // each block's host end time
+	bufs   [][]IterSample // sink buffers behind out, kept for reuse
+	rngs   []*clock.Rand  // one scratch stream per worker
+	next   atomic.Int64   // the next block no worker has claimed
+	wg     sync.WaitGroup
+}
+
+// minFanoutIters is the kernel size, in block-iterations, below which
+// materialize runs every block on the calling goroutine: handing blocks
+// to other goroutines costs a few microseconds, more than such a kernel
+// saves by running on several cores.
+const minFanoutIters = 1024
+
+var fanoutPool = sync.Pool{
+	New: func() any { return &fanout{kernel: clock.NewRand(0, 0)} },
+}
+
+// resize returns s with length n, reallocating only when it is too
+// small. Contents are not preserved.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // materialize computes the per-SM iteration timings of kernel k.
-func (d *Device) materialize(k *Kernel) {
+//
+// The blocks run concurrently on min(GOMAXPROCS, blocks) workers, the
+// calling goroutine being one of them, and the result is bit-identical
+// at any worker count: every block's stream is derived from the kernel
+// stream in block order before any block runs, each block is a pure
+// function of its seed and of state nothing writes during the fan-out
+// (timeline, cfg, smSpeed, clampMHz), and sinks receive the blocks
+// afterwards, on this goroutine, in block order. Thermal, energy and
+// busy state advance after the join.
+func (d *Device) materialize(k *Kernel, fan *fanout) {
 	start := k.enqueuedNs
 	if d.busyEndNs > start {
 		start = d.busyEndNs
@@ -280,25 +331,68 @@ func (d *Device) materialize(k *Kernel) {
 	}
 
 	d.kernelSeq++
-	kernelRng := d.rng.ChildInto(d.kernelScratch, 0x1000+d.kernelSeq)
+	fan.kernel.Reseed(d.rng.ChildSeed(0x1000 + d.kernelSeq))
 
 	blocks := k.spec.Blocks
 	if blocks == 0 || blocks > d.cfg.SMCount {
 		blocks = d.cfg.SMCount
 	}
+	iters := k.spec.Iters
+	fan.seeds = resize(fan.seeds, blocks)
+	fan.out = resize(fan.out, blocks)
+	fan.ends = resize(fan.ends, blocks)
+	for len(fan.bufs) < blocks {
+		fan.bufs = append(fan.bufs, nil)
+	}
 	if k.sink == nil {
 		k.samples = make([][]IterSample, blocks)
 	}
-	k.startNs = start
-
-	var maxEnd int64
-	for sm := 0; sm < blocks; sm++ {
-		smRng := kernelRng.ChildInto(d.smScratch, uint64(sm))
-		end := d.runSM(k, sm, start, wakeEnd, smRng)
-		if end > maxEnd {
-			maxEnd = end
+	for sm := range blocks {
+		fan.seeds[sm] = fan.kernel.ChildSeed(uint64(sm))
+		if k.sink == nil {
+			k.samples[sm] = make([]IterSample, iters)
+			fan.out[sm] = k.samples[sm]
+		} else {
+			from := min(max(k.sink.BlockStart(sm, iters), 0), iters)
+			fan.bufs[sm] = resize(fan.bufs[sm], iters-from)
+			fan.out[sm] = fan.bufs[sm]
 		}
 	}
+	k.startNs = start
+	fan.k, fan.start, fan.wakeEnd = k, start, wakeEnd
+
+	workers := min(runtime.GOMAXPROCS(0), blocks)
+	if blocks*iters < minFanoutIters {
+		workers = 1
+	}
+	for len(fan.rngs) < workers {
+		fan.rngs = append(fan.rngs, clock.NewRand(0, 0))
+	}
+	fan.next.Store(0)
+	fan.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer fan.wg.Done()
+			d.runBlocks(fan, w)
+		}()
+	}
+	d.runBlocks(fan, 0)
+	fan.wg.Wait()
+
+	var maxEnd int64
+	for sm, end := range fan.ends {
+		maxEnd = max(maxEnd, end)
+		if k.sink != nil {
+			from := iters - len(fan.out[sm])
+			for i, s := range fan.out[sm] {
+				k.sink.Sample(sm, from+i, s)
+			}
+			k.sink.BlockEnd(sm)
+		}
+	}
+	// Drop the kernel and its trace from the pooled scratch.
+	fan.k = nil
+	clear(fan.out)
 	k.endNs = maxEnd
 	k.done = true
 
@@ -338,44 +432,44 @@ func (d *Device) materialize(k *Kernel) {
 	d.everBusy = true
 }
 
-// runSM executes the iteration loop of one SM-resident block and returns
-// the host time at which the block finished. Timings either accumulate
-// into the kernel's sample matrix or stream into its sink. Iterations
-// before the sink's first wanted one still draw their jitter and advance
-// time, so the random stream and the block's end time never depend on
-// the sink; they are just not timestamped. Iteration i's quantised end is
-// iteration i+1's start, so each boundary is converted once.
-func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand) int64 {
-	iters := k.spec.Iters
-	var samples []IterSample
-	from := 0
-	if k.sink == nil {
-		samples = make([]IterSample, iters)
-	} else {
-		from = k.sink.BlockStart(sm, iters)
+// runBlocks is worker w of materialize's fan-out: it claims blocks
+// until none is left and runs each on its own scratch stream, re-seeded
+// to the block's stream.
+func (d *Device) runBlocks(fan *fanout, w int) {
+	r := fan.rngs[w]
+	for {
+		sm := int(fan.next.Add(1) - 1)
+		if sm >= len(fan.seeds) {
+			return
+		}
+		r.Reseed(fan.seeds[sm])
+		fan.ends[sm] = d.runSM(fan.k, sm, fan.start, fan.wakeEnd, r, fan.out[sm])
 	}
+}
+
+// runSM executes the iteration loop of one SM-resident block and returns
+// the host time at which the block finished. It timestamps the block's
+// last len(out) iterations into out; the iterations before them still
+// draw their jitter and advance time, so the random stream and the
+// block's end time never depend on how many the caller wants. Iteration
+// i's quantised end is iteration i+1's start, so each boundary is
+// converted once. runSM reads device state but writes none, so blocks
+// may run concurrently, each into its own out.
+func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand, out []IterSample) int64 {
+	iters := k.spec.Iters
+	from := iters - len(out)
 	cur := d.tl.cursor()
 	speed := d.smSpeed[sm]
 	t := start
-	i := 0
-	for ; i < from && i < iters; i++ {
+	for range from {
 		t += d.iterNs(k, t, speed, wakeEnd, &cur, r)
 	}
 	startDev := d.DeviceTimeAt(t)
-	for ; i < iters; i++ {
+	for i := range out {
 		t += d.iterNs(k, t, speed, wakeEnd, &cur, r)
-		s := IterSample{StartNs: startDev, EndNs: d.DeviceTimeAt(t)}
-		if k.sink == nil {
-			samples[i] = s
-		} else {
-			k.sink.Sample(sm, i, s)
-		}
-		startDev = s.EndNs
-	}
-	if k.sink == nil {
-		k.samples[sm] = samples
-	} else {
-		k.sink.BlockEnd(sm)
+		endDev := d.DeviceTimeAt(t)
+		out[i] = IterSample{StartNs: startDev, EndNs: endDev}
+		startDev = endDev
 	}
 	return t
 }

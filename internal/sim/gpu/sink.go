@@ -7,11 +7,15 @@ import (
 )
 
 // SampleSink consumes iteration timings while a kernel materialises,
-// instead of the kernel storing the full [][]IterSample trace. Blocks are
-// streamed sequentially in index order, iterations in execution order, so
-// sink state needs no synchronisation. A kernel launched with a sink does
-// not materialise Samples(); callers that need the raw trace (the phase-3
-// evaluator) launch without one.
+// instead of the kernel storing the full [][]IterSample trace. BlockStart
+// runs for every block, in index order, before any delivery. The blocks
+// then run, possibly concurrently, and once all have finished their
+// samples are delivered on the Synchronize goroutine: block by block in
+// index order, iterations in execution order, each block closed by
+// BlockEnd. Every call comes from that one goroutine, so sink state needs
+// no synchronisation. A kernel launched with a sink does not materialise
+// Samples(); callers that need the raw trace (the phase-3 evaluator)
+// launch without one.
 type SampleSink interface {
 	// BlockStart announces that block will run iters iterations and
 	// returns from, the first iteration the sink needs. Iterations before

@@ -5,10 +5,10 @@
 #
 # vet + build (including the stored daemon) + tests, the nested perfbench
 # module (which `go test ./...` does not reach), a race-detector pass over
-# the concurrency-heavy coordination packages (the store's
-# journal/lease/GC machinery, the fleet's cross-process claim loop, and
-# the storenet daemon/client), and the benchmark smoke that records the
-# performance trajectory in BENCH_campaign.json.
+# the concurrency-heavy packages (the simulator's block fan-out, the
+# store's journal/lease/GC machinery, the fleet's cross-process claim
+# loop, and the storenet daemon/client), and the benchmark smoke that
+# records the performance trajectory in BENCH_campaign.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +44,15 @@ go vet ./internal/obs/...
 
 echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
+
+echo "== go test -race (simulator block fan-out) =="
+# Synchronize runs a kernel's SM blocks on several goroutines and must
+# stay bit-identical to one; the golden pins, the parallel-sweep identity
+# test and the sink equivalence tests all drive that fan-out.
+go test -race -count 2 ./internal/sim/gpu
+go test -race -count 2 \
+	-run 'TestGolden|TestRunIdenticalAcrossParallelism|TestStreamStatsMatchesMaterialised|TestTailSinkMatchesMaterialised' \
+	./internal/core ./internal/sim/gpu
 
 echo "== go test -race (cross-process sweep partition) =="
 # Exactly-once across processes rests on atomic lease publication; ten
