@@ -10,7 +10,7 @@
 //	            [-cache-dir DIR] [-store-url URL[,URL...]] [-replication N]
 //	            [-no-cache]
 //	            [-fleet N] [-parallel N] [-lease-ttl D] [-owner ID]
-//	            [-shard-offset N|auto] [-store-errors auto|abort|degrade]
+//	            [-store-errors auto|abort|degrade]
 //	            [-reconcile] [-trace-out FILE]
 //	            [-gc] [-max-store-bytes N] [-max-store-age D]
 //	            [-gc-watermark-bytes N]
@@ -40,12 +40,7 @@
 // through an advisory store lease before computing it, so several
 // processes pointed at the same -cache-dir — or several hosts pointed
 // at the same -store-url — partition a sweep instead of duplicating it
-// (each still finishes with every result). -shard-offset starts this
-// host's sweeps at a different shard index (give host i of n offset
-// i*shards/n), so cooperating hosts claim disjoint ranges up front
-// instead of all racing for shard 0; -shard-offset auto derives the
-// start per sweep from the store's live lease and index state (the
-// fleet.Plan LeaseHolder view). -gc bounds the store after
+// (each still finishes with every result). -gc bounds the store after
 // the run: -max-store-bytes evicts least-recently-used blobs past the
 // size cap, -max-store-age evicts blobs idle longer than the bound, and
 // crash debris (orphaned temp files, expired leases) is swept either
@@ -82,7 +77,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
@@ -146,7 +140,6 @@ func run(args []string, out io.Writer) error {
 		fleetN    = fs.Int("fleet", 0, "concurrent whole campaigns in multi-unit sweeps (0 = one per CPU; results are identical at every setting)")
 		leaseTTL  = fs.Duration("lease-ttl", 0, "claim sweep shards via store leases so concurrent processes sharing -cache-dir partition the work; the TTL should exceed one campaign's runtime (0 = off)")
 		owner     = fs.String("owner", "", "lease owner id for -lease-ttl (default: derived from host and pid)")
-		shardOff  = fs.String("shard-offset", "", "start multi-unit sweeps at this shard index so cooperating hosts claim disjoint ranges (an integer, or 'auto' to derive it from the store's lease/index state; default 0)")
 		gc        = fs.Bool("gc", false, "after the run, garbage-collect the store per -max-store-bytes/-max-store-age and sweep crash debris")
 		maxBytes  = fs.Int64("max-store-bytes", 0, "with -gc: evict least-recently-used blobs until the store fits this many bytes (0 = no size bound)")
 		maxAge    = fs.Duration("max-store-age", 0, "with -gc: evict blobs not accessed for longer than this (0 = no age bound)")
@@ -254,25 +247,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-store-token needs -store-url (and no -no-cache): there is no daemon to authenticate to")
 	}
 
-	shardOffset, autoOffset := 0, false
-	switch *shardOff {
-	case "":
-	case "auto":
-		autoOffset = true
-		// Auto mode consumes the fleet.Plan lease/index view, which the
-		// sweep only owns in lease mode; without -lease-ttl it would be
-		// silently inert — the offset stuck at 0, contention unchanged.
-		if *leaseTTL <= 0 {
-			return fmt.Errorf("-shard-offset auto requires -lease-ttl (the plan it consults is the lease-mode sweep's)")
-		}
-	default:
-		n, err := strconv.Atoi(*shardOff)
-		if err != nil {
-			return fmt.Errorf("-shard-offset %q: want an integer or 'auto'", *shardOff)
-		}
-		shardOffset = n
-	}
-
 	var storeErrors fleet.StoreErrorPolicy
 	switch *storeErrs {
 	case "", "auto":
@@ -304,8 +278,6 @@ func run(args []string, out io.Writer) error {
 		needsStore := ""
 		switch {
 		case *leaseTTL > 0:
-			// Covers -shard-offset auto too: auto already demanded
-			// -lease-ttl above, so this case is the one it reaches.
 			needsStore = "-lease-ttl"
 		case *gc:
 			needsStore = "-gc"
@@ -329,8 +301,6 @@ func run(args []string, out io.Writer) error {
 		LeaseTTL:         *leaseTTL,
 		LeaseOwner:       *owner,
 		GCWatermarkBytes: *watermark,
-		ShardOffset:      shardOffset,
-		AutoShardOffset:  autoOffset,
 		StoreErrors:      storeErrors,
 		Tracer:           tracer,
 	})
@@ -381,13 +351,12 @@ func run(args []string, out io.Writer) error {
 			for _, c := range clients {
 				t := c.Telemetry()
 				tel.Retries += t.Retries
-				tel.RateLimited += t.RateLimited
 				tel.BreakerOpened += t.BreakerOpened
 				tel.BytesSent += t.BytesSent
 				tel.BytesReceived += t.BytesReceived
 			}
-			fmt.Fprintf(out, "client: %d retries, %d rate-limited, %d breaker opens, %d KiB out, %d KiB in\n",
-				tel.Retries, tel.RateLimited, tel.BreakerOpened, tel.BytesSent/1024, tel.BytesReceived/1024)
+			fmt.Fprintf(out, "client: %d retries, %d breaker opens, %d KiB out, %d KiB in\n",
+				tel.Retries, tel.BreakerOpened, tel.BytesSent/1024, tel.BytesReceived/1024)
 			rs := rt.ReplicationStats()
 			fmt.Fprintf(out, "router: %d/%d members healthy, r=%d, %d failovers, %d under-replicated puts, %d read repairs, %d pending\n",
 				rs.Healthy, rs.Members, rs.Replication, rs.Failovers,

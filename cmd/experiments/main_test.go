@@ -564,48 +564,6 @@ func TestRunAllArtefactsQuick(t *testing.T) {
 	}
 }
 
-// TestShardOffsetFlag: the scheduling flag parses integers and 'auto',
-// rejects garbage, and 'auto' demands the store whose lease state it
-// consults.
-func TestShardOffsetFlag(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-shard-offset", "sideways", "-out", t.TempDir()}, &out); err == nil {
-		t.Error("bogus -shard-offset accepted")
-	}
-	// Auto mode consults lease-mode plan state: it needs both a store
-	// and -lease-ttl, or it would be silently inert.
-	err := run([]string{"-shard-offset", "auto", "-cache-dir", t.TempDir(),
-		"-out", t.TempDir()}, &out)
-	if err == nil || !strings.Contains(err.Error(), "-lease-ttl") {
-		t.Errorf("-shard-offset auto without -lease-ttl: err=%v, want a -lease-ttl demand", err)
-	}
-	if err := run([]string{"-shard-offset", "auto", "-lease-ttl", "1m", "-out", t.TempDir()}, &out); err == nil {
-		t.Error("-shard-offset auto without a store accepted")
-	}
-	// An explicit integer offset needs no store (it is pure visit
-	// order) and must not change a sweep's artefacts.
-	if testing.Short() {
-		return
-	}
-	plain, offset := t.TempDir(), t.TempDir()
-	if err := run([]string{"-scale", "quick", "-only", "fig7", "-out", plain}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-scale", "quick", "-only", "fig7", "-shard-offset", "2",
-		"-cache-dir", t.TempDir(), "-lease-ttl", "1m", "-out", offset}, &out); err != nil {
-		t.Fatal(err)
-	}
-	a, b := readArtefacts(t, plain), readArtefacts(t, offset)
-	if len(a) == 0 || len(a) != len(b) {
-		t.Fatalf("artefact sets differ: %d vs %d", len(a), len(b))
-	}
-	for name, want := range a {
-		if !bytes.Equal(want, b[name]) {
-			t.Fatalf("%s differs under -shard-offset (scheduling changed results)", name)
-		}
-	}
-}
-
 // TestStoreErrorsFlagValidation: the policy flag parses strictly, and
 // -reconcile demands the tiered store whose journal it flushes.
 func TestStoreErrorsFlagValidation(t *testing.T) {

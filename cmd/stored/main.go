@@ -14,10 +14,9 @@
 //
 // With -tokens, the daemon is multi-tenant: every /v1 request must
 // carry an Authorization: Bearer token from the file, which grants a
-// scope (read/write/admin), optional per-token rate and byte quotas
-// (throttled requests get 429 + Retry-After), and an optional validity
-// window (nbf=/expires=, RFC 3339): a token used before its nbf or at
-// or past its expires is rejected 401 exactly like an unknown one.
+// scope (read/write/admin) and an optional validity window
+// (nbf=/expires=, RFC 3339): a token used before its nbf or at or past
+// its expires is rejected 401 exactly like an unknown one.
 // /healthz, /readyz, and /metrics always answer without a token —
 // probes and scrapers are unauthenticated by design. SIGHUP re-reads
 // the -tokens file and swaps the credential set in place — no listener
@@ -130,7 +129,7 @@ func newDaemon(args []string, out io.Writer) (*daemon, error) {
 		maxAge     = fs.Duration("max-store-age", 0, "with -gc-every: evict blobs not accessed for longer than this (0 = no age bound)")
 		statsEvery = fs.Duration("stats-every", 0, "period of the stats log line (blobs, bytes, compression ratio, traffic, lease churn; 0 = off)")
 		drainGrace = fs.Duration("drain-grace", 0, "on SIGINT/SIGTERM, keep serving for this long with /readyz answering 503 before shutting down (lets load balancers route traffic away; 0 = drain immediately)")
-		tokens     = fs.String("tokens", "", "bearer-token file enabling multi-tenant auth: one '<token> <scopes> [rps=N] [burst=N] [bps=N] [bburst=N] [nbf=RFC3339] [expires=RFC3339]' per line (scopes: read, write, admin; nbf/expires bound the token's validity window; empty = open mode)")
+		tokens     = fs.String("tokens", "", "bearer-token file enabling multi-tenant auth: one '<token> <scopes> [nbf=RFC3339] [expires=RFC3339]' per line (scopes: read, write, admin; nbf/expires bound the token's validity window; empty = open mode)")
 		certFile   = fs.String("cert", "", "TLS certificate file (PEM); with -key, serve HTTPS")
 		keyFile    = fs.String("key", "", "TLS private key file (PEM); with -cert, serve HTTPS")
 		logLevel   = fs.String("log-level", "info", "minimum log level: debug, info, warn, error (debug adds a per-request line carrying the client's trace ID)")

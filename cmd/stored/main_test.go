@@ -380,8 +380,8 @@ func TestDaemonAuthTokens(t *testing.T) {
 	tokens := writeTokensFile(t, `
 # ops tenant: full control
 secret-admin admin
-# fleet hosts: read+write, modest rate headroom
-secret-writer write rps=1000 burst=1000
+# fleet hosts: read+write
+secret-writer write
 # dashboards: read only
 secret-reader read
 `)
@@ -704,12 +704,11 @@ func TestDaemonAuthFlagValidation(t *testing.T) {
 }
 
 // TestDaemonProbesSurviveAuthAndDrain is the regression for the probe
-// bug class: a daemon that is simultaneously auth-protected, rate
-// limited (tenant bucket dry), and draining must still answer
-// /healthz, /readyz and /metrics without a token — otherwise the
-// orchestrator kills a pod for being busy.
+// bug class: a daemon that is simultaneously auth-protected and
+// draining must still answer /healthz, /readyz and /metrics without a
+// token — otherwise the orchestrator kills a pod for being busy.
 func TestDaemonProbesSurviveAuthAndDrain(t *testing.T) {
-	tokens := writeTokensFile(t, "tight write rps=0.001 burst=1\n")
+	tokens := writeTokensFile(t, "writer write\n")
 	dir := t.TempDir()
 	out := &syncBuffer{}
 	d, err := newDaemon([]string{"-dir", dir, "-addr", "127.0.0.1:0",
@@ -721,26 +720,8 @@ func TestDaemonProbesSurviveAuthAndDrain(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- d.serve(ctx) }()
 
-	// Exhaust the tenant's request bucket: one request spends the burst,
-	// the next bounces 429.
-	for i := 0; i < 2; i++ {
-		req, err := http.NewRequest(http.MethodGet, d.URL()+"/v1/stats", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Authorization", "Bearer tight")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if i == 1 && resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("second authed request = %d, want 429", resp.StatusCode)
-		}
-	}
-
-	// Now start draining — and assert every probe still answers
-	// token-free while the tenant is throttled and readiness is down.
+	// Start draining — and assert every probe still answers token-free
+	// while auth is enforced and readiness is down.
 	cancel()
 	deadline := time.Now().Add(2 * time.Second)
 	for probeStatus(t, d.URL()+"/readyz") != http.StatusServiceUnavailable {
@@ -750,10 +731,13 @@ func TestDaemonProbesSurviveAuthAndDrain(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if got := probeStatus(t, d.URL()+"/healthz"); got != http.StatusOK {
-		t.Fatalf("healthz while draining+throttled = %d, want 200", got)
+		t.Fatalf("healthz while draining = %d, want 200", got)
+	}
+	if got := probeStatus(t, d.URL()+"/v1/stats"); got != http.StatusUnauthorized {
+		t.Fatalf("tokenless /v1/stats while draining = %d, want 401", got)
 	}
 	if got := probeStatus(t, d.URL()+"/metrics"); got != http.StatusOK {
-		t.Fatalf("metrics while draining+throttled = %d, want 200", got)
+		t.Fatalf("metrics while draining = %d, want 200", got)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("serve: %v", err)

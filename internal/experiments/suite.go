@@ -90,19 +90,6 @@ type Options struct {
 	// blobs exceed the watermark, one GC pass evicts least-recently-used
 	// blobs back under it. Zero leaves GC manual.
 	GCWatermarkBytes int64
-	// ShardOffset starts every multi-unit sweep at this shard index
-	// (mod the shard count): cooperating processes given disjoint
-	// offsets claim disjoint ranges up front instead of all racing for
-	// shard 0. Results are identical at every offset.
-	ShardOffset int
-	// AutoShardOffset derives the offset per sweep from the store's
-	// live lease/index state: the sweep starts at the first shard that
-	// is neither cached nor claimed by a live peer. Overrides
-	// ShardOffset when such a shard exists. Effective only in lease
-	// mode (Store + LeaseTTL) — that is the only mode in which the
-	// fleet sweep owns the store whose plan it consults; outside it the
-	// offset stays at ShardOffset.
-	AutoShardOffset bool
 	// StoreErrors is handed to every fleet sweep: abort on store
 	// write/claim failures, degrade around them, or (the zero value)
 	// decide from whether the backend has a local fallback tier. See
@@ -375,11 +362,9 @@ func (s *Suite) CampaignByKey(key string) (*core.Result, error) {
 // same profiles are store hits.
 func (s *Suite) sweep(profiles []hwprofile.Profile) ([]*core.Result, error) {
 	fo := fleet.Options{
-		Replicas:        s.opts.FleetReplicas,
-		ShardOffset:     s.opts.ShardOffset,
-		AutoShardOffset: s.opts.AutoShardOffset,
-		StoreErrors:     s.opts.StoreErrors,
-		Tracer:          s.opts.Tracer,
+		Replicas:    s.opts.FleetReplicas,
+		StoreErrors: s.opts.StoreErrors,
+		Tracer:      s.opts.Tracer,
 	}
 	if s.opts.Store != nil && s.opts.LeaseTTL <= 0 {
 		// Single-process mode: the fleet never sees the store (Campaign

@@ -107,26 +107,6 @@ type Options struct {
 	// manual.
 	GCWatermarkBytes int64
 
-	// ShardOffset rotates the order workers visit shards: the sweep
-	// starts at shard index ShardOffset (mod the shard count) and wraps.
-	// Cooperating processes given disjoint offsets (host i of n starts
-	// at i*shards/n) claim disjoint ranges up front, cutting lease
-	// contention — the waits and steals of everyone racing for shard 0 —
-	// from O(shards) to near zero. Purely a scheduling hint: results,
-	// resumability, and the claim/wait/steal safety net are identical at
-	// every offset.
-	ShardOffset int
-
-	// AutoShardOffset (requires Store) derives the offset from the
-	// store's live state instead: one Plan pass finds the first shard
-	// that is neither cached nor claimed by a live holder, and the sweep
-	// starts there — a host joining mid-sweep skips past the ranges its
-	// peers are already computing. Racy by nature (peers move between
-	// the plan and the first claim), which is fine: the claim loop still
-	// arbitrates correctness. Overrides ShardOffset when it finds a
-	// starting point.
-	AutoShardOffset bool
-
 	// StoreErrors selects what a store write or claim failure does to
 	// the sweep: abort it (the pre-resilience behavior) or degrade
 	// around it. The zero value resolves automatically: degrade when the
@@ -232,9 +212,6 @@ type Report struct {
 	// actually run. Hits + Computed can be less than len(Shards) when an
 	// aborted sweep left shards unreached.
 	Hits, Computed int
-	// ShardOffset is the starting index the sweep actually used —
-	// Options.ShardOffset normalised, or the auto-derived one.
-	ShardOffset int
 	// Contention counters, populated in lease mode: Claimed counts
 	// leases this sweep acquired, Waited counts shards it resolved by
 	// waiting on a peer's claim, Stolen counts expired leases it took
@@ -303,62 +280,6 @@ func (r *Report) WriteTimingTable(w io.Writer) error {
 			time.Duration(sh.ComputeNs).Round(time.Microsecond))
 	}
 	return tw.Flush()
-}
-
-// ShardPlan previews one shard of a prospective sweep.
-type ShardPlan struct {
-	// Key is the shard's content address (zero without a store).
-	Key store.Key
-	// Cached reports the store already holds the shard's result — the
-	// sweep would serve it without computing.
-	Cached bool
-	// LeaseHolder is the owner label of a live claim on the shard, ""
-	// when unclaimed. It lets a scheduler route processes at disjoint
-	// shard ranges up front instead of discovering contention by
-	// polling. A racy peek by nature: the holder may finish, die, or be
-	// stolen from between Plan and Sweep, and the claim loop handles all
-	// three — the plan optimises placement, it never gates correctness.
-	LeaseHolder string
-}
-
-// Plan reports, per shard, whether the store already holds its result
-// (what a Sweep would skip) and who, if anyone, currently holds its
-// lease. Without a store every entry is zero-valued.
-func Plan(profiles []hwprofile.Profile, opts Options) ([]ShardPlan, error) {
-	plans := make([]ShardPlan, len(profiles))
-	if opts.Store == nil {
-		return plans, nil
-	}
-	if opts.Config == nil {
-		return nil, fmt.Errorf("fleet: store configured without a Config function")
-	}
-	// One Index call answers Cached for every shard — against a remote
-	// backend that is a single round trip instead of a HEAD per shard.
-	// (The index can trail a peer's seconds-old write; the sweep's own
-	// Get still catches it, so the plan errs only toward scheduling a
-	// shard that turns into a free hit.)
-	indexed := make(map[string]bool)
-	for _, e := range opts.Store.Index() {
-		indexed[e.Digest] = true
-	}
-	for i, p := range profiles {
-		k, err := store.ProfileKey(p, opts.Config(p))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: key for %s/%d: %w", p.Key, p.Instance, err)
-		}
-		plans[i].Key = k
-		plans[i].Cached = indexed[k.Digest]
-		if plans[i].Cached {
-			// A cached shard resolves from the store regardless of
-			// claims; skipping the peek saves a round trip per shard on
-			// remote backends.
-			continue
-		}
-		if owner, held := opts.Store.LeaseHolder(k.Digest); held {
-			plans[i].LeaseHolder = owner
-		}
-	}
-	return plans, nil
 }
 
 // errAborted marks a shard abandoned because the sweep failed elsewhere
@@ -488,8 +409,6 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 		}
 	}
 
-	offset := shardOffset(profiles, opts)
-	rep.ShardOffset = offset
 	var (
 		next atomic.Int64
 		wg   sync.WaitGroup
@@ -503,9 +422,8 @@ func Sweep(profiles []hwprofile.Profile, opts Options) (*Report, error) {
 				if i >= len(profiles) || sw.failed.Load() {
 					return
 				}
-				idx := (i + offset) % len(profiles)
-				sh := &rep.Shards[idx]
-				if err := sw.runShard(sh, idx); err != nil {
+				sh := &rep.Shards[i]
+				if err := sw.runShard(sh, i); err != nil {
 					if errors.Is(err, errAborted) {
 						return // unreached, not failed
 					}
@@ -574,33 +492,6 @@ func traceSetter(b store.Backend) obs.TraceContextSetter {
 	}
 	s, _ := b.(obs.TraceContextSetter)
 	return s
-}
-
-// shardOffset resolves the starting index of a sweep's shard walk:
-// the explicit Options.ShardOffset normalised into [0, n), or — in
-// auto mode — the first shard the store shows as neither cached nor
-// claimed by a live peer. Auto failures (a degraded remote Index, a
-// key error) fall back to the explicit offset: scheduling is a hint,
-// never a gate.
-func shardOffset(profiles []hwprofile.Profile, opts Options) int {
-	n := len(profiles)
-	if n == 0 {
-		return 0
-	}
-	offset := ((opts.ShardOffset % n) + n) % n
-	if !opts.AutoShardOffset || opts.Store == nil {
-		return offset
-	}
-	plans, err := Plan(profiles, opts)
-	if err != nil {
-		return offset
-	}
-	for i, p := range plans {
-		if !p.Cached && p.LeaseHolder == "" {
-			return i
-		}
-	}
-	return offset
 }
 
 // GCAtWatermark runs one size-bounded GC pass when the store's indexed

@@ -12,8 +12,8 @@ import (
 
 // ErrUnreachable marks a remote write that failed on infrastructure (a
 // transport error, server errors past the retry budget, an open circuit
-// breaker), as opposed to a live remote refusing it (auth, quota, a bad
-// blob). Only ErrUnreachable failures may be deferred to a Tier's
+// breaker), as opposed to a live remote refusing it (auth, a bad blob,
+// any other 4xx). Only ErrUnreachable failures may be deferred to a Tier's
 // journal: a refusal would be refused again at replay.
 var ErrUnreachable = errors.New("store: remote unreachable")
 

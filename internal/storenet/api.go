@@ -38,18 +38,17 @@
 // time, so even minutes-late writes attribute to the sweep that
 // produced them.
 //
-// # Auth and quotas
+// # Auth
 //
 // A daemon started with -tokens enforces Authorization: Bearer on every
 // /v1 route. Tokens grant hierarchical scopes — read (blob GET/HEAD,
 // lease peek, index, stats) ⊂ write (blob PUT, lease CAS ops) ⊂ admin
-// (gc) — and optional per-token request-rate and upload-byte quotas.
-// Status semantics: 401 missing/unknown token, 403 insufficient scope,
-// 429 + Retry-After (delta seconds) when a quota bucket is dry. The
+// (gc) — and an optional validity window. Status semantics: 401
+// missing, unknown or out-of-window token, 403 insufficient scope. The
 // Client treats 401/403 as terminal (ErrAuth: never retried, never
-// journaled) and honors 429's Retry-After between attempts without
-// feeding the circuit breaker (ErrRateLimited on budget exhaustion).
-// Probes and /metrics bypass auth entirely. Adding auth needed no
+// journaled). Any other 4xx, a proxy's 429 included, is an ordinary
+// refusal: not retried, no breaker strike, never journaled. Probes and
+// /metrics bypass auth entirely. Adding auth needed no
 // /v1 → /v2 bump: an open daemon's wire behavior is unchanged, and an
 // authed daemon only adds the standard challenge statuses.
 //

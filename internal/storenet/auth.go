@@ -4,12 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -56,16 +53,10 @@ func (s Scope) String() string {
 	return "none"
 }
 
-// TokenLimits bounds one token's traffic. Zero fields mean unlimited —
-// a token file line with no k=v settings grants scope without quota.
+// TokenLimits bounds one token's lifetime. The zero value means
+// unbounded — a token file line with no k=v settings grants scope
+// forever.
 type TokenLimits struct {
-	// RPS is the sustained request rate (token bucket refill per
-	// second); Burst is the bucket capacity (0 = RPS).
-	RPS, Burst float64
-	// BytesPerSec bounds uploaded payload bytes per second (PUT bodies,
-	// charged by Content-Length before the body is read); ByteBurst is
-	// that bucket's capacity (0 = BytesPerSec).
-	BytesPerSec, ByteBurst float64
 	// NotBefore and Expires bound the token's validity window. A request
 	// outside it is rejected 401 (error="invalid_token") exactly like an
 	// unknown token — the credential does not exist yet, or no longer
@@ -77,59 +68,10 @@ type TokenLimits struct {
 	NotBefore, Expires time.Time
 }
 
-// bucket is a mutex-guarded token bucket. A nil *bucket is unlimited,
-// which keeps the per-request path branch-free for unquota'd tokens.
-type bucket struct {
-	mu    sync.Mutex
-	level float64
-	size  float64
-	rate  float64 // refill per second
-	last  time.Time
-}
-
-func newBucket(rate, burst float64) *bucket {
-	if rate <= 0 {
-		return nil
-	}
-	if burst <= 0 {
-		burst = rate
-	}
-	return &bucket{level: burst, size: burst, rate: rate, last: time.Now()}
-}
-
-// take withdraws n tokens if the bucket holds them; otherwise it
-// reports how long until it would. A request is never half-charged: a
-// refused take leaves the level untouched, so a client that honors
-// Retry-After is not paying for its rejections.
-func (b *bucket) take(n float64) (ok bool, retryAfter time.Duration) {
-	if b == nil {
-		return true, 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := time.Now()
-	b.level = math.Min(b.size, b.level+now.Sub(b.last).Seconds()*b.rate)
-	b.last = now
-	if b.level >= n {
-		b.level -= n
-		return true, 0
-	}
-	short := n - b.level
-	if short > b.size {
-		// A single request larger than the bucket can ever hold: no
-		// amount of waiting helps, but 429-with-a-bound beats lying.
-		short = b.size
-	}
-	return false, time.Duration(short / b.rate * float64(time.Second))
-}
-
-// tokenEntry is one credential's grant: its (expanded) scope, its
-// optional rate and byte buckets, and its validity window (zero bounds
-// mean unbounded).
+// tokenEntry is one credential's grant: its (expanded) scope and its
+// validity window (zero bounds mean unbounded).
 type tokenEntry struct {
 	scope Scope
-	reqs  *bucket
-	bytes *bucket
 	nbf   time.Time
 	exp   time.Time
 }
@@ -146,10 +88,10 @@ func (e *tokenEntry) validAt(now time.Time) bool {
 	return true
 }
 
-// TokenSet is the daemon's credential table: token → scope + quotas.
-// The map is immutable after construction (LoadTokens/Grant happen
-// before the server starts); only the buckets mutate, under their own
-// locks, so lookups need no synchronisation.
+// TokenSet is the daemon's credential table: token → scope + validity
+// window. The map is immutable after construction (LoadTokens/Grant
+// happen before the server starts), so lookups need no
+// synchronisation.
 type TokenSet struct {
 	tokens map[string]*tokenEntry
 }
@@ -160,13 +102,11 @@ func NewTokenSet() *TokenSet {
 	return &TokenSet{tokens: map[string]*tokenEntry{}}
 }
 
-// Grant adds (or replaces) a token with the given scope and limits,
+// Grant adds (or replaces) a token with the given scope and window,
 // returning the set for chaining. Scope implications are expanded here.
 func (ts *TokenSet) Grant(token string, scope Scope, lim TokenLimits) *TokenSet {
 	ts.tokens[token] = &tokenEntry{
 		scope: expandScope(scope),
-		reqs:  newBucket(lim.RPS, lim.Burst),
-		bytes: newBucket(lim.BytesPerSec, lim.ByteBurst),
 		nbf:   lim.NotBefore,
 		exp:   lim.Expires,
 	}
@@ -179,17 +119,15 @@ func (ts *TokenSet) Len() int { return len(ts.tokens) }
 // LoadTokens reads a token file — the cmd/stored -tokens format:
 //
 //	# comment (or blank line)
-//	<token> <scope>[,<scope>...] [rps=N] [burst=N] [bps=N] [bburst=N]
-//	        [nbf=RFC3339] [expires=RFC3339]
+//	<token> <scope>[,<scope>...] [nbf=RFC3339] [expires=RFC3339]
 //
 // One token per line, whitespace-separated. Scopes are read, write,
-// admin (hierarchical: admin ⊃ write ⊃ read). rps/burst bound the
-// token's request rate; bps/bburst bound its uploaded bytes per second
-// (PUT payloads). nbf and expires bound the token's validity window
-// (RFC 3339 timestamps, e.g. 2026-09-01T00:00:00Z): requests before
-// nbf or at/after expires are 401s. Omitted settings mean unlimited
-// and unbounded. A SIGHUP reload plus staggered nbf/expires windows is
-// the rotation story — see TokenLimits.
+// admin (hierarchical: admin ⊃ write ⊃ read). nbf and expires bound
+// the token's validity window (RFC 3339 timestamps, e.g.
+// 2026-09-01T00:00:00Z): requests before nbf or at/after expires are
+// 401s. Omitted settings mean unbounded. A SIGHUP reload plus
+// staggered nbf/expires windows is the rotation story — see
+// TokenLimits.
 func LoadTokens(path string) (*TokenSet, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -251,23 +189,8 @@ func ParseTokens(r io.Reader) (*TokenSet, error) {
 				} else {
 					lim.Expires = ts
 				}
-			case "rps", "burst", "bps", "bburst":
-				v, perr := strconv.ParseFloat(val, 64)
-				if perr != nil || v < 0 {
-					return nil, fmt.Errorf("line %d: bad setting %q (want k=N, N ≥ 0)", lineNo, kv)
-				}
-				switch key {
-				case "rps":
-					lim.RPS = v
-				case "burst":
-					lim.Burst = v
-				case "bps":
-					lim.BytesPerSec = v
-				case "bburst":
-					lim.ByteBurst = v
-				}
 			default:
-				return nil, fmt.Errorf("line %d: unknown setting %q (want rps, burst, bps, bburst, nbf, or expires)", lineNo, kv)
+				return nil, fmt.Errorf("line %d: unknown setting %q (want nbf or expires)", lineNo, kv)
 			}
 		}
 		if !lim.NotBefore.IsZero() && !lim.Expires.IsZero() && !lim.NotBefore.Before(lim.Expires) {
@@ -295,13 +218,13 @@ func bearerToken(r *http.Request) (string, bool) {
 	return tok, true
 }
 
-// admit enforces the token table for one request: 401 for a missing or
-// unknown token, 403 for a known token short of the route's scope, 429
-// with Retry-After when a quota bucket runs dry. A false return means
-// the rejection has been written. Probes (/healthz, /readyz) and
-// /metrics never pass through admit — they are registered outside the
-// authed routes, because orchestrators and scrapers do not carry
-// tenant credentials and a daemon that cannot be probed gets restarted.
+// admit enforces the token table for one request: 401 for a missing,
+// unknown or out-of-window token, 403 for a known token short of the
+// route's scope. A false return means the rejection has been written.
+// Probes (/healthz, /readyz) and /metrics never pass through admit —
+// they are registered outside the authed routes, because orchestrators
+// and scrapers do not carry tenant credentials and a daemon that
+// cannot be probed gets restarted.
 func (ts *TokenSet) admit(w http.ResponseWriter, r *http.Request, need Scope) bool {
 	tok, ok := bearerToken(r)
 	if !ok {
@@ -329,32 +252,5 @@ func (ts *TokenSet) admit(w http.ResponseWriter, r *http.Request, need Scope) bo
 			http.StatusForbidden)
 		return false
 	}
-	if ok, wait := e.reqs.take(1); !ok {
-		tooManyRequests(w, wait)
-		return false
-	}
-	// Byte quota charges the declared upload size before the body is
-	// read, so an over-quota PUT costs the daemon a header parse, not a
-	// 256 MiB read. Responses are not charged: Get traffic is bounded by
-	// the request bucket and blobs are small.
-	if n := r.ContentLength; n > 0 {
-		if ok, wait := e.bytes.take(float64(n)); !ok {
-			tooManyRequests(w, wait)
-			return false
-		}
-	}
 	return true
-}
-
-// tooManyRequests writes the 429 with a ceil-seconds Retry-After (the
-// delta-seconds form every client library parses). Minimum 1: a
-// sub-second wait rounded to 0 would invite an immediate retry, the one
-// thing a throttled client must not do.
-func tooManyRequests(w http.ResponseWriter, wait time.Duration) {
-	secs := int(math.Ceil(wait.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	http.Error(w, "storenet: rate limit exceeded", http.StatusTooManyRequests)
 }

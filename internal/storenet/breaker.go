@@ -42,6 +42,11 @@ type breaker struct {
 	state    int
 	fails    int
 	openedAt time.Time
+	// gen counts open transitions. allow stamps each admitted attempt
+	// with it, and record ignores an outcome whose stamp is older: that
+	// attempt was admitted before the circuit opened, so it says nothing
+	// about the daemon since.
+	gen uint64
 }
 
 // breakerStateName renders a breaker state for logs and telemetry.
@@ -84,28 +89,29 @@ func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *br
 	return &breaker{threshold: threshold, cooldown: cooldown, now: now}
 }
 
-// allow reports whether an attempt may touch the network. While open it
-// fast-fails everything until the cooldown elapses, then admits exactly
-// one half-open probe; while the probe is in flight everyone else keeps
-// fast-failing (a thundering herd against a barely-recovered daemon is
-// how outages restart).
-func (b *breaker) allow() bool {
+// allow reports whether an attempt may touch the network, and the
+// generation to pass back to record with the attempt's outcome. While
+// open it fast-fails everything until the cooldown elapses, then admits
+// exactly one half-open probe; while the probe is in flight everyone
+// else keeps fast-failing (a thundering herd against a barely-recovered
+// daemon is how outages restart).
+func (b *breaker) allow() (gen uint64, ok bool) {
 	if b.threshold < 0 {
-		return true
+		return 0, true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerClosed:
-		return true
+		return b.gen, true
 	case breakerOpen:
 		if b.now().Sub(b.openedAt) >= b.cooldown {
 			b.transition(breakerHalfOpen)
-			return true
+			return b.gen, true
 		}
-		return false
+		return b.gen, false
 	default: // half-open: the probe is already out
-		return false
+		return b.gen, false
 	}
 }
 
@@ -124,15 +130,24 @@ func (b *breaker) isOpen() bool {
 	return b.state == breakerOpen && b.now().Sub(b.openedAt) < b.cooldown
 }
 
-// record feeds one attempt's outcome. It reports whether this outcome
-// closed a previously open circuit — the recovery edge the client's
-// background reconciler hangs off.
-func (b *breaker) record(ok bool) (recovered bool) {
+// record feeds the outcome of an attempt allow admitted under gen. It
+// reports whether this outcome closed a previously open circuit — the
+// recovery edge the client's background reconciler hangs off.
+//
+// Outcomes of attempts admitted before the circuit last opened (they
+// were in flight when it tripped) change nothing. A late failure is
+// evidence of the same outage and must not extend the cooldown. A late
+// success was served before the outage, so it is no recovery: closing
+// on it would start a replay against a daemon that is still down.
+func (b *breaker) record(gen uint64, ok bool) (recovered bool) {
 	if b.threshold < 0 {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if gen != b.gen {
+		return false
+	}
 	if ok {
 		recovered = b.state != breakerClosed
 		b.transition(breakerClosed)
@@ -141,13 +156,11 @@ func (b *breaker) record(ok bool) (recovered bool) {
 	}
 	b.fails++
 	// A failed half-open probe reopens immediately; in the closed state
-	// the consecutive-failure threshold decides. Failures recorded while
-	// already open (attempts that were in flight when the circuit
-	// tripped) change nothing — they are evidence of the same outage,
-	// not a new one, and must not extend the cooldown.
+	// the consecutive-failure threshold decides.
 	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.fails >= b.threshold) {
 		b.transition(breakerOpen)
 		b.openedAt = b.now()
+		b.gen++
 	}
 	return false
 }

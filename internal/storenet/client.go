@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,15 +35,6 @@ var ErrUnavailable = fmt.Errorf("storenet: store unavailable (circuit open): %w"
 // would turn a config error into silent data loss at reconcile time).
 // Fix ClientOptions.Token or the daemon's token file instead.
 var ErrAuth = errors.New("storenet: rejected by daemon auth (check ClientOptions.Token and its scopes)")
-
-// ErrRateLimited marks a request budget exhausted against a live,
-// throttling daemon (429). Each 429 is honored with its Retry-After
-// before the next attempt and never counts as a breaker strike — the
-// daemon answering 429 is healthy, and tripping the breaker would
-// convert backpressure into a fake outage. Like ErrAuth it never
-// defers a Put: replaying later through the journal would dodge the
-// very quota the daemon is enforcing.
-var ErrRateLimited = errors.New("storenet: rate limited by daemon")
 
 // Client speaks the v1 API to a stored daemon and implements
 // store.Backend, so fleet sweeps and experiment suites use a remote
@@ -112,7 +102,7 @@ type Client struct {
 
 	// Telemetry counters beyond the Backend Counters contract — see
 	// Telemetry().
-	retryCount, rateLimited                atomic.Int64
+	retryCount                             atomic.Int64
 	brOpened, brHalfOpened, brClosed       atomic.Int64
 	decodePasses, bytesSent, bytesReceived atomic.Int64
 }
@@ -130,8 +120,7 @@ type ClientOptions struct {
 	// Token is the bearer credential sent as "Authorization: Bearer
 	// <token>" on every request, for daemons running with -tokens.
 	// Empty means none (open daemons). A daemon answering 401/403 is
-	// terminal per request — see ErrAuth — and 429 throttling is
-	// honored via Retry-After without tripping the circuit breaker.
+	// terminal per request — see ErrAuth.
 	Token string
 	// Retries is the attempt budget per idempotent request; 0 means 3.
 	Retries int
@@ -349,17 +338,18 @@ func (b cancelBody) Close() error {
 	return err
 }
 
-// recordAttempt feeds the breaker and, on the open→closed recovery
-// edge, starts a background replay of the tier's journal — the "heal
-// the remote when it returns" half of degraded mode, with no operator
-// in the loop. cause (nil on success) is remembered so the breaker's
-// transition log can name what broke.
-func (c *Client) recordAttempt(ok bool, cause error) {
+// recordAttempt feeds the breaker the outcome of an attempt admitted
+// under gen and, on the open→closed recovery edge, starts a background
+// replay of the tier's journal — the "heal the remote when it returns"
+// half of degraded mode, with no operator in the loop. cause (nil on
+// success) is remembered so the breaker's transition log can name what
+// broke.
+func (c *Client) recordAttempt(gen uint64, ok bool, cause error) {
 	if cause != nil {
 		s := cause.Error()
 		c.lastErr.Store(&s)
 	}
-	if c.br.record(ok) {
+	if c.br.record(gen, ok) {
 		c.tier.ReplayInBackground(c.replay)
 	}
 }
@@ -371,14 +361,14 @@ func (c *Client) recordAttempt(ok bool, cause error) {
 // a request the server understood and refused only repeats the
 // refusal. While the circuit breaker is open the whole call fails
 // immediately with ErrUnavailable — no connection, no sleep. Every
-// failure except an exhausted rate limit wraps store.ErrUnreachable.
+// failure wraps store.ErrUnreachable.
 //
 // span, when non-nil, is the caller's client span for this logical
 // operation: its context rides every attempt as the traceparent header
-// (so the daemon's records correlate back to it) and retry/throttle
-// edges are recorded on it as events. parent overrides the propagated
-// context when span is nil — the reconcile replay path uses it to
-// carry a journaled marker's original trace even when tracing is off.
+// (so the daemon's records correlate back to it) and retry edges are
+// recorded on it as events. parent overrides the propagated context
+// when span is nil — the reconcile replay path uses it to carry a
+// journaled marker's original trace even when tracing is off.
 func (c *Client) doIdempotent(method, u string, body []byte, span *obs.Span, parent obs.SpanContext) (*http.Response, error) {
 	traceparent := ""
 	if span != nil {
@@ -394,7 +384,8 @@ func (c *Client) doIdempotent(method, u string, body []byte, span *obs.Span, par
 			d := c.backoff << (attempt - 1)
 			time.Sleep(d + c.jitter(d/2))
 		}
-		if !c.br.allow() {
+		gen, allowed := c.br.allow()
+		if !allowed {
 			// Fail the operation, not just the attempt: the remaining
 			// retries would fast-fail identically, and sleeping between
 			// them is exactly the stall the breaker exists to remove.
@@ -409,7 +400,7 @@ func (c *Client) doIdempotent(method, u string, body []byte, span *obs.Span, par
 		resp, err := c.hc.Do(req)
 		if err != nil {
 			cancel()
-			c.recordAttempt(false, err)
+			c.recordAttempt(gen, false, err)
 			lastErr = err
 			continue
 		}
@@ -417,37 +408,15 @@ func (c *Client) doIdempotent(method, u string, body []byte, span *obs.Span, par
 			c.drain(resp)
 			cancel()
 			lastErr = fmt.Errorf("storenet: %s %s: %s", method, u, resp.Status)
-			c.recordAttempt(false, lastErr)
+			c.recordAttempt(gen, false, lastErr)
 			continue
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			// Backpressure from a live daemon: honor its Retry-After on
-			// top of the normal backoff, and feed the breaker a success —
-			// a throttling daemon is a healthy daemon, and opening the
-			// circuit here would turn a quota into a fake outage (and,
-			// with a local tier, shunt writes into the pending journal,
-			// which a quota refusal must never reach).
-			c.rateLimited.Add(1)
-			span.Event("ratelimited")
-			wait := retryAfterDelay(resp)
-			c.drain(resp)
-			cancel()
-			c.recordAttempt(true, nil)
-			lastErr = fmt.Errorf("storenet: %s %s: %s: %w", method, u, resp.Status, ErrRateLimited)
-			if attempt < c.retries-1 {
-				time.Sleep(wait)
-			}
-			continue
-		}
-		c.recordAttempt(true, nil)
+		c.recordAttempt(gen, true, nil)
 		resp.Body = cancelBody{ReadCloser: resp.Body, cancel: cancel}
 		return resp, nil
 	}
-	if !errors.Is(lastErr, ErrRateLimited) {
-		lastErr = fmt.Errorf("%w: %w", store.ErrUnreachable, lastErr)
-	}
-	return nil, fmt.Errorf("storenet: %s %s: giving up after %d attempts: %w",
-		method, u, c.retries, lastErr)
+	return nil, fmt.Errorf("storenet: %s %s: giving up after %d attempts: %w: %w",
+		method, u, c.retries, store.ErrUnreachable, lastErr)
 }
 
 // doOnce issues one non-idempotent (lease) request, exactly once,
@@ -461,7 +430,8 @@ func (c *Client) doOnce(u string, body any, span *obs.Span) (*http.Response, err
 	if err != nil {
 		return nil, err
 	}
-	if !c.br.allow() {
+	gen, allowed := c.br.allow()
+	if !allowed {
 		span.Event("breaker.fastfail")
 		return nil, fmt.Errorf("storenet: POST %s: %w", u, ErrUnavailable)
 	}
@@ -473,32 +443,14 @@ func (c *Client) doOnce(u string, body any, span *obs.Span) (*http.Response, err
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		cancel()
-		c.recordAttempt(false, err)
+		c.recordAttempt(gen, false, err)
 		return nil, err
 	}
 	// Any response is a live daemon — a 409 busy lease is the protocol
 	// working, not a failure.
-	c.recordAttempt(true, nil)
+	c.recordAttempt(gen, true, nil)
 	resp.Body = cancelBody{ReadCloser: resp.Body, cancel: cancel}
 	return resp, nil
-}
-
-// retryAfterDelay parses a 429's Retry-After header (the delta-seconds
-// form the daemon emits; the HTTP-date form is not worth supporting
-// for a single-purpose API). Missing or malformed values fall back to
-// the normal backoff schedule; hostile values are capped so a bad
-// proxy cannot park a client for minutes.
-func retryAfterDelay(resp *http.Response) time.Duration {
-	const maxRetryAfter = 30 * time.Second
-	secs, err := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After")))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	d := time.Duration(secs) * time.Second
-	if d > maxRetryAfter {
-		d = maxRetryAfter
-	}
-	return d
 }
 
 // drain discards and closes a response body so the connection returns
@@ -644,7 +596,7 @@ func (c *Client) Put(k store.Key, res *core.Result) error {
 // read-repair rides this — then writes it through to the local tier.
 // When the daemon is unreachable (store.ErrUnreachable) and a local
 // tier exists, the blob is deferred into the tier's journal instead. A
-// refusal (ErrAuth, ErrRateLimited, any other 4xx) never defers: the
+// refusal (ErrAuth, any other 4xx) never defers: the
 // daemon saw the request, and its replay would be refused too.
 func (c *Client) PutValidated(vb *store.ValidatedBlob) error {
 	return c.PutValidatedUnder(vb, obs.SpanContext{})
@@ -718,8 +670,6 @@ type Telemetry struct {
 	// Retries counts retry attempts actually issued (attempt ≥ 2 of an
 	// idempotent request), not sleeps scheduled.
 	Retries int64 `json:"retries"`
-	// RateLimited counts 429 responses honored via Retry-After.
-	RateLimited int64 `json:"rate_limited"`
 	// Breaker edge counts by destination state: how often the circuit
 	// opened (outage detected), admitted a half-open probe, and closed
 	// (recovered or explicitly reset).
@@ -741,7 +691,6 @@ type Telemetry struct {
 func (c *Client) Telemetry() Telemetry {
 	return Telemetry{
 		Retries:         c.retryCount.Load(),
-		RateLimited:     c.rateLimited.Load(),
 		BreakerOpened:   c.brOpened.Load(),
 		BreakerHalfOpen: c.brHalfOpened.Load(),
 		BreakerClosed:   c.brClosed.Load(),
@@ -749,24 +698,6 @@ func (c *Client) Telemetry() Telemetry {
 		BytesSent:       c.bytesSent.Load(),
 		BytesReceived:   c.bytesReceived.Load(),
 	}
-}
-
-// WriteProm renders the telemetry as Prometheus text (the same v0.0.4
-// exposition format the daemon's /metrics speaks), for callers that
-// scrape or push client-side metrics. Every family is fixed-label
-// (none), so client cardinality is constant.
-func (t Telemetry) WriteProm(w io.Writer) {
-	write := func(name, help, typ string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
-	}
-	write("storenet_client_retries_total", "Retry attempts issued.", "counter", t.Retries)
-	write("storenet_client_rate_limited_total", "429 responses honored.", "counter", t.RateLimited)
-	write("storenet_client_breaker_opened_total", "Circuit breaker open transitions.", "counter", t.BreakerOpened)
-	write("storenet_client_breaker_half_open_total", "Circuit breaker half-open probes admitted.", "counter", t.BreakerHalfOpen)
-	write("storenet_client_breaker_closed_total", "Circuit breaker close transitions.", "counter", t.BreakerClosed)
-	write("storenet_client_decode_passes_total", "Blob container validations (decodes) run.", "counter", t.DecodePasses)
-	write("storenet_client_bytes_sent_total", "Request body bytes sent.", "counter", t.BytesSent)
-	write("storenet_client_bytes_received_total", "Response body bytes received.", "counter", t.BytesReceived)
 }
 
 // Reconcile replays the local tier's journal to the daemon, returning
@@ -905,10 +836,6 @@ func (c *Client) TryAcquire(digest, owner string, ttl time.Duration) (store.Leas
 		return nil, false, nil
 	case http.StatusUnauthorized, http.StatusForbidden:
 		return nil, false, fmt.Errorf("storenet: acquire %s: %s: %w", digest, resp.Status, ErrAuth)
-	case http.StatusTooManyRequests:
-		// Lease ops are exactly-once, so a 429 is not retried here; the
-		// claim loop's wait/steal pacing is the natural backoff.
-		return nil, false, fmt.Errorf("storenet: acquire %s: %s: %w", digest, resp.Status, ErrRateLimited)
 	default:
 		return nil, false, fmt.Errorf("storenet: acquire %s: %s", digest, resp.Status)
 	}

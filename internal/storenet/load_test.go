@@ -38,9 +38,9 @@ func TestStoredLoadConcurrent(t *testing.T) {
 	}
 	auth := NewTokenSet()
 	for i := 0; i < clients; i++ {
-		// Every tenant gets its own write-scope token, unlimited rate:
-		// this test measures correctness and latency under contention,
-		// not throttling (auth_test.go owns the 429 paths).
+		// Every tenant gets its own write-scope token: this test
+		// measures correctness and latency under contention, not auth
+		// (auth_test.go owns the 401/403 paths).
 		auth.Grant(fmt.Sprintf("tenant-%03d", i), ScopeWrite, TokenLimits{})
 	}
 	srv := NewServerWith(st, ServerOptions{Auth: auth})

@@ -43,7 +43,7 @@ func TestRequestMetricsPromOutput(t *testing.T) {
 	m := newRequestMetrics()
 	m.observe("GET /v1/stats", http.StatusOK, 50*time.Microsecond)
 	m.observe("GET /v1/stats", http.StatusOK, 50*time.Microsecond)
-	m.observe("GET /v1/stats", http.StatusTooManyRequests, 10*time.Microsecond)
+	m.observe("GET /v1/stats", http.StatusUnauthorized, 10*time.Microsecond)
 	m.observe("PUT /v1/blobs/{digest}", http.StatusCreated, 3*time.Millisecond)
 
 	var sb strings.Builder
@@ -53,7 +53,7 @@ func TestRequestMetricsPromOutput(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE stored_requests_total counter",
 		`stored_requests_total{endpoint="GET /v1/stats",code="200"} 2`,
-		`stored_requests_total{endpoint="GET /v1/stats",code="429"} 1`,
+		`stored_requests_total{endpoint="GET /v1/stats",code="401"} 1`,
 		`stored_requests_total{endpoint="PUT /v1/blobs/{digest}",code="201"} 1`,
 		"# TYPE stored_request_duration_seconds histogram",
 		// Cumulative ladder: the 10µs obs is ≤0.0001, both 50µs obs join

@@ -327,7 +327,7 @@ func (r *Router) readRepair(k store.Key, vb *store.ValidatedBlob, res *core.Resu
 // writes it through to the local tier. When no replica accepted it and
 // every one failed on infrastructure (store.ErrUnreachable), a router
 // with a local tier defers it into the tier's journal instead of
-// failing; a member refusal (auth, quota, a bad blob) fails the Put.
+// failing; a member refusal (auth, a bad blob) fails the Put.
 func (r *Router) Put(k store.Key, res *core.Result) error {
 	vb, err := store.EncodeValidated(k, res)
 	if err != nil {

@@ -34,8 +34,8 @@ type Server struct {
 
 	// metrics is the per-endpoint request/latency ledger the outermost
 	// ServeHTTP wrapper feeds and GET /metrics exports. It observes
-	// auth and rate-limit rejections too (the middleware runs inside
-	// the mux), so a 401/429 storm is visible in the scrape.
+	// auth rejections too (the middleware runs inside the mux), so a
+	// 401/403 storm is visible in the scrape.
 	metrics *requestMetrics
 
 	// Lease churn served by this daemon instance — the fleet-wide
@@ -90,7 +90,7 @@ func (s *Server) LeaseStats() LeaseStats {
 // value is the open (trusted-LAN) v1 daemon.
 type ServerOptions struct {
 	// Auth, when non-nil, enforces bearer-token auth with per-token
-	// scopes and quotas on every /v1 route. Probes (/healthz, /readyz)
+	// scopes and validity windows on every /v1 route. Probes (/healthz, /readyz)
 	// and /metrics stay token-free regardless: they are registered
 	// outside the authed routes, so no middleware change can
 	// accidentally lock out the orchestrator or the scraper.
@@ -147,9 +147,9 @@ func NewServerWith(st *store.Store, opts ServerOptions) *Server {
 	s.route("GET /debug/pprof/trace", ScopeAdmin, pprof.Trace)
 	// Probes live outside the versioned prefix: they describe the
 	// process, not the API, and orchestrators expect them at the root.
-	// They and /metrics bypass auth and rate limits by construction —
-	// registered on the raw mux, not through route() — because a
-	// draining, throttled, or misconfigured daemon must still answer
+	// They and /metrics bypass auth by construction — registered on
+	// the raw mux, not through route() — because a draining or
+	// misconfigured daemon must still answer
 	// its probes or the orchestrator kills a healthy process.
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
@@ -177,19 +177,16 @@ func (s *Server) route(pattern string, need Scope, h http.HandlerFunc) {
 // daemon. In-flight requests finish under the set they were admitted
 // with; every subsequent request is admitted against the new one —
 // revoked tokens stop working immediately, without a listener bounce.
-// Rate-limit buckets live inside the TokenSet, so a swap also resets
-// quota accounting; a reload is an operator action rare enough for
-// that to be the right trade.
 func (s *Server) SetAuth(ts *TokenSet) { s.auth.Store(ts) }
 
 // Store returns the store the server fronts.
 func (s *Server) Store() *store.Store { return s.st }
 
 // ServeHTTP implements http.Handler. It is also the observability
-// middleware: every request — including auth and rate-limit
-// rejections — is observed with its endpoint pattern (set by the mux
-// on dispatch), status, and latency; data-plane (/v1) requests are
-// additionally recorded in the /debug/ops flight recorder together
+// middleware: every request — including auth rejections — is
+// observed with its endpoint pattern (set by the mux on dispatch),
+// status, and latency; data-plane (/v1) requests are additionally
+// recorded in the /debug/ops flight recorder together
 // with the trace identity extracted from the client's W3C traceparent
 // header, and logged at Debug with the same trace ID — which is how
 // one sweep's requests correlate across processes. The traceparent

@@ -18,9 +18,8 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== go build cmd/stored + cmd/storedsup =="
+echo "== go build cmd/stored =="
 go build -o /dev/null ./cmd/stored
-go build -o /dev/null ./cmd/storedsup
 
 echo "== go test =="
 go test ./...
@@ -73,6 +72,10 @@ echo "== go test -race (breaker + degraded-mode reconciler) =="
 go test -race -count 2 \
 	-run 'TestBreaker|TestDeferredPutReconciles|TestJournalSurvivesProcessRestart|TestBackgroundReconcileOnRecovery|TestSweepSurvivesStoredOutage' \
 	./internal/storenet
+# A success from an attempt admitted before the breaker opened once
+# closed it and started a background replay mid-outage; fifty runs
+# catch that interleaving again if it returns.
+go test -race -count 50 -run 'TestSweepSurvivesStoredOutage$' ./internal/storenet
 go test -race -count 2 -run 'TestSweepDegrade|TestSweepAutoPolicy|TestResolvePolicy' ./internal/fleet
 # The router defers to the same local tier and journal (store.Tier) as
 # the client; its outage, restart, recovery and refusal cases race here
@@ -87,21 +90,19 @@ echo "== go test -race (v3 compatibility pin + legacy blobs are misses) =="
 go test -race -run 'TestV3CompatibilityPin|TestLegacyBlobHealsToV3|TestMixedStoreRebuild|TestCorruptBlobIsMissAndHeals' \
 	-count 2 ./internal/store
 
-echo "== go test -race (backend conformance + auth/ratelimit) =="
+echo "== go test -race (backend conformance + auth) =="
 go test -race -count 2 \
-	-run 'TestBackendConformance|TestParseTokens|TestAuthScopeEnforcement|TestRateLimit429|TestByteQuota429|TestClientAuthTerminal|TestClient429HonorsRetryAfterWithoutBreakerTrip|TestAuthedProbesWhileDrainingAndThrottled' \
+	-run 'TestBackendConformance|TestParseTokens|TestAuthScopeEnforcement|TestClientAuthTerminal|TestClient429IsPlainRefusal|TestAuthedProbesWhileDrainingAndThrottled' \
 	./internal/store ./internal/storenet
 go test -race -run 'TestDaemonAuthTokens|TestDaemonTLS|TestDaemonProbesSurviveAuthAndDrain|TestDaemonTokenReloadOnSIGHUP' ./cmd/stored
 
-echo "== go test -race (replicated router + supervisor + token validity) =="
+echo "== go test -race (replicated router + token validity) =="
 # The router package races in full: ring placement, failover reads,
 # read-repair, the background scrubber, the three conformance harnesses
 # and the mid-sweep member-kill chaos test all exercise the same shared
-# counters from many goroutines. The supervisor races its probe loop
-# against a real crashing stored child. Token validity windows race the
+# counters from many goroutines. Token validity windows race the
 # SIGHUP rotation path.
 go test -race -count 2 ./internal/storenet/router
-go test -race ./cmd/storedsup
 go test -race -count 2 -run 'TestParseTokensValidityWindows|TestTokenValidityWindow401' ./internal/storenet
 go test -race -run 'TestDaemonTokenExpiry' ./cmd/stored
 
