@@ -18,9 +18,14 @@ import (
 // from on different cores (the simulator runs a kernel's SM blocks
 // concurrently, one stream each) never share a line. It must not be
 // copied: src draws from the pcg field of the Rand it was built in.
+//
+// The normal draws (Normal, LogNormal) bypass src and call the pcg field
+// directly through a copy of math/rand/v2's ziggurat (ziggurat.go). Both
+// paths advance the same PCG state, so draws of either kind interleave
+// exactly as they would on one math/rand/v2 Rand.
 type Rand struct {
 	src rand.Rand
-	pcg rand.PCG // retained so Reseed can restart the stream in place
+	pcg rand.PCG // the stream's state; Reseed restarts it in place
 	_   [cacheLine - unsafe.Sizeof(rand.Rand{}) - unsafe.Sizeof(rand.PCG{})]byte
 }
 
@@ -87,13 +92,13 @@ func (r *Rand) IntN(n int) int { return r.src.IntN(n) }
 
 // Normal returns a draw from the normal distribution N(mean, sigma²).
 func (r *Rand) Normal(mean, sigma float64) float64 {
-	return mean + sigma*r.src.NormFloat64()
+	return mean + sigma*r.normFloat64()
 }
 
 // LogNormal returns exp(N(mu, sigma²)); used for heavy-tailed driver
 // latencies where occasional large values must remain positive.
 func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.src.NormFloat64())
+	return math.Exp(mu + sigma*r.normFloat64())
 }
 
 // Exp returns an exponential draw with the given mean.

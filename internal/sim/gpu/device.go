@@ -399,22 +399,12 @@ func (d *Device) materialize(k *Kernel, fan *fanout) {
 	// Thermal: integrate across the kernel's busy window piecewise, at the
 	// effective clock of each timeline segment (wake window and throttle
 	// clamp included), so long transitions and wake periods heat honestly.
-	tcur := d.tl.cursor()
+	w := d.newWalker(start, wakeEnd, 1)
 	for t := start; t < maxEnd; {
-		f, segEnd := tcur.freqAt(t)
-		if t < wakeEnd {
-			f = d.cfg.IdleFreqMHz
-			if wakeEnd < segEnd {
-				segEnd = wakeEnd
-			}
-		} else if d.clampMHz > 0 && f > d.clampMHz {
-			f = d.clampMHz
-		}
-		if segEnd > maxEnd {
-			segEnd = maxEnd
-		}
-		d.thermal.evolve(&d.cfg, segEnd, f, true)
-		t = segEnd
+		w.seek(t)
+		end := min(w.end, maxEnd)
+		d.thermal.evolve(&d.cfg, end, w.freq, true)
+		t = end
 	}
 	if d.thermal.tempC > d.cfg.ThermalLimitC && !d.reasons.Has(ThrottleThermal) {
 		d.reasons |= ThrottleThermal
@@ -458,15 +448,15 @@ func (d *Device) runBlocks(fan *fanout, w int) {
 func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand, out []IterSample) int64 {
 	iters := k.spec.Iters
 	from := iters - len(out)
-	cur := d.tl.cursor()
-	speed := d.smSpeed[sm]
+	w := d.newWalker(start, wakeEnd, d.smSpeed[sm])
+	cycles, sigma := k.spec.CyclesPerIter, d.cfg.IterJitterSigma
 	t := start
 	for range from {
-		t += d.iterNs(k, t, speed, wakeEnd, &cur, r)
+		t += w.iterNs(t, cycles*jitter(r, sigma))
 	}
 	startDev := d.DeviceTimeAt(t)
 	for i := range out {
-		t += d.iterNs(k, t, speed, wakeEnd, &cur, r)
+		t += w.iterNs(t, cycles*jitter(r, sigma))
 		endDev := d.DeviceTimeAt(t)
 		out[i] = IterSample{StartNs: startDev, EndNs: endDev}
 		startDev = endDev
@@ -474,20 +464,84 @@ func (d *Device) runSM(k *Kernel, sm int, start, wakeEnd int64, r *clock.Rand, o
 	return t
 }
 
-// iterNs draws one iteration's execution jitter and returns its host-time
-// duration when it starts at host time t.
-func (d *Device) iterNs(k *Kernel, t int64, speed float64, wakeEnd int64, cur *cursor, r *clock.Rand) int64 {
-	jitter := r.Normal(1, d.cfg.IterJitterSigma)
-	if jitter < 0.5 {
-		jitter = 0.5 // guard the pathological tail; keeps time positive
+// jitter draws one iteration's execution-time factor, N(1, sigma²)
+// floored at 0.5: the floor guards the pathological tail and keeps time
+// positive.
+func jitter(r *clock.Rand, sigma float64) float64 {
+	return max(r.Normal(1, sigma), 0.5)
+}
+
+// walker walks one block's monotone time along the frequency timeline.
+// It caches the effective segment the walk is in: the clock after the
+// wake window and throttle clamp, the rate in cycles per nanosecond that
+// clock gives, and the segment's end, clipped to the wake end. An
+// iteration that fits inside the cached segment costs a multiply, a
+// compare and a divide; one that crosses the cached end is integrated
+// across the timeline. Either way the duration is integrate's, bit for
+// bit: the fast path is integrate's first loop pass with the lookup
+// hoisted out.
+type walker struct {
+	d       *Device
+	cur     cursor
+	speed   float64
+	wakeEnd int64
+
+	freq float64 // effective clock of the cached segment, MHz
+	rate float64 // freq*speed/1000, cycles per nanosecond
+	end  int64   // end of the cached segment; math.MaxInt64 if it never ends
+}
+
+// newWalker returns a walker for a block of the given speed, in a kernel
+// starting at host time start whose wake window ends at wakeEnd, with
+// the segment covering start cached.
+func (d *Device) newWalker(start, wakeEnd int64, speed float64) walker {
+	w := walker{d: d, cur: d.tl.cursor(), speed: speed, wakeEnd: wakeEnd}
+	w.seek(start)
+	return w
+}
+
+// seek fills the cache with the effective segment covering host time t,
+// which must not precede any earlier seek's.
+func (w *walker) seek(t int64) {
+	f, end := w.cur.freqAt(t)
+	if t < w.wakeEnd {
+		f = w.d.cfg.IdleFreqMHz
+		if w.wakeEnd < end {
+			end = w.wakeEnd
+		}
+	} else if c := w.d.clampMHz; c > 0 && f > c {
+		f = c
 	}
-	return d.integrate(t, k.spec.CyclesPerIter*jitter, speed, wakeEnd, cur)
+	w.freq, w.rate, w.end = f, f*w.speed/1000, end
+}
+
+// iterNs returns the host-time nanoseconds needed to execute cycles
+// starting at host time t, exactly as integrate computes them. Calls
+// must not move t backwards.
+func (w *walker) iterNs(t int64, cycles float64) int64 {
+	// integrate's condition also accepts any budget in a segment that
+	// never ends; a budget this one declines there, or any budget at
+	// t == end, takes the integrate path, which returns the same.
+	if cycles <= float64(w.end-t)*w.rate {
+		elapsed := cycles / w.rate
+		if elapsed < 1 {
+			elapsed = 1
+		}
+		return int64(elapsed + 0.5)
+	}
+	// The iteration crosses the cached end: integrate it, then cache the
+	// segment the next iteration starts in.
+	ns := w.d.integrate(t, cycles, w.speed, w.wakeEnd, &w.cur)
+	w.seek(t + ns)
+	return ns
 }
 
 // integrate returns the host-time nanoseconds needed to execute the given
 // cycle count starting at host time t, walking the frequency timeline and
 // honouring the wake window and throttle clamp. The cursor amortises the
-// segment lookups across the caller's monotone time walk.
+// segment lookups across the caller's monotone time walk. It is the
+// reference the walker's fast path replays; the walker calls it for the
+// iterations that cross a segment end.
 func (d *Device) integrate(t int64, cycles, speed float64, wakeEnd int64, cur *cursor) int64 {
 	var elapsed float64
 	remaining := cycles

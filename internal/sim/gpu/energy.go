@@ -53,21 +53,11 @@ func (d *Device) meterBusy(start, end, wakeEnd int64) {
 	if start > d.energy.lastUpdateNs {
 		d.energy.accumulate(start, d.cfg.IdlePowerW)
 	}
-	cur := d.tl.cursor()
+	w := d.newWalker(start, wakeEnd, 1)
 	for t := start; t < end; {
-		f, segEnd := cur.freqAt(t)
-		if t < wakeEnd {
-			f = d.cfg.IdleFreqMHz
-			if wakeEnd < segEnd {
-				segEnd = wakeEnd
-			}
-		} else if d.clampMHz > 0 && f > d.clampMHz {
-			f = d.clampMHz
-		}
-		if segEnd > end {
-			segEnd = end
-		}
-		d.energy.accumulate(segEnd, d.cfg.busyPowerW(f))
+		w.seek(t)
+		segEnd := min(w.end, end)
+		d.energy.accumulate(segEnd, d.cfg.busyPowerW(w.freq))
 		t = segEnd
 	}
 }

@@ -30,16 +30,17 @@ echo "== perfbench module (vet + short tests) =="
 # break the repository benchmark.
 (cd perfbench && go vet ./... && go test -short ./...)
 
-echo "== gofmt (internal/obs) =="
-# The tracing layer is the newest package; hold it to gofmt-clean so
-# drive-by edits to the hot span path can't land unformatted.
-unformatted=$(gofmt -l internal/obs)
+echo "== gofmt (internal/obs, internal/sim) =="
+# The tracing layer and the simulator hold the two hot paths (spans and
+# the per-iteration loop); hold them to gofmt-clean so drive-by edits
+# can't land unformatted.
+unformatted=$(gofmt -l internal/obs internal/sim)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: needs formatting:" >&2
 	echo "$unformatted" >&2
 	exit 1
 fi
-go vet ./internal/obs/...
+go vet ./internal/obs/... ./internal/sim/...
 
 echo "== go test -race (store, fleet, storenet) =="
 go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./internal/storenet/... ./cmd/stored/...
@@ -47,11 +48,13 @@ go test -race ./internal/obs/... ./internal/store/... ./internal/fleet/... ./int
 echo "== go test -race (simulator block fan-out) =="
 # Synchronize runs a kernel's SM blocks on several goroutines and must
 # stay bit-identical to one; the golden pins, the parallel-sweep identity
-# test and the sink equivalence tests all drive that fan-out.
+# test and the sink equivalence tests all drive that fan-out. The walker
+# and ziggurat tests pin the per-iteration fast paths to integrate and
+# math/rand/v2.
 go test -race -count 2 ./internal/sim/gpu
 go test -race -count 2 \
-	-run 'TestGolden|TestRunIdenticalAcrossParallelism|TestStreamStatsMatchesMaterialised|TestTailSinkMatchesMaterialised' \
-	./internal/core ./internal/sim/gpu
+	-run 'TestGolden|TestRunIdenticalAcrossParallelism|TestStreamStatsMatchesMaterialised|TestTailSinkMatchesMaterialised|TestWalkerMatchesIntegrate|TestNormalMatchesMathRandV2' \
+	./internal/core ./internal/sim/gpu ./internal/sim/clock
 
 echo "== go test -race (cross-process sweep partition) =="
 # Exactly-once across processes rests on atomic lease publication; ten
